@@ -15,22 +15,23 @@
  *  - text-to-text retrieval has no visual grounding, so thresholds are
  *    high (0.65-0.95 band) and selected k values are conservative,
  *    capping the end-to-end saving near 20 %.
+ *
+ * Pinecone's text-keyed image cache is the same structure with one
+ * threshold and k = 0. Storage, retrieval, and sampled utility
+ * eviction live in the EmbeddingCache core; this layer adds the model
+ * check and the threshold -> k mapping.
  */
 
 #ifndef MODM_CACHE_LATENT_CACHE_HH
 #define MODM_CACHE_LATENT_CACHE_HH
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "src/common/rng.hh"
-#include "src/common/row_store.hh"
+#include "src/cache/embedding_cache.hh"
 #include "src/diffusion/image.hh"
-#include "src/embedding/encoder.hh"
+#include "src/embedding/embedding.hh"
 #include "src/embedding/vector_index.hh"
 
 namespace modm::cache {
@@ -54,20 +55,6 @@ struct NirvanaThresholds
     std::vector<int> kValues = {5, 10, 15};
 };
 
-/** One cached latent set. */
-struct LatentEntry
-{
-    /** Final image of the generation whose latents are cached. */
-    diffusion::Image image;
-    /** Slot of the prompt's text embedding (the retrieval key) in the
-     *  cache's row slab. */
-    RowStore::Slot embeddingSlot = 0;
-    /** Producing model; latents are unusable by other models. */
-    std::string modelName;
-    double insertTime = 0.0;
-    std::uint64_t hits = 0;
-};
-
 /** Result of a latent-cache lookup. */
 struct LatentHit
 {
@@ -84,12 +71,10 @@ struct LatentHit
 };
 
 /**
- * Fixed-capacity latent cache with utility eviction (Nirvana's policy).
- *
- * Doubles as the retrieval backend's RowSource over the stored text
- * embeddings (see ImageCache for the rationale).
+ * Fixed-capacity latent cache keyed by prompt text embeddings, with
+ * sampled utility eviction by hit count (Nirvana's policy).
  */
-class LatentCache : public embedding::RowSource
+class LatentCache : public EmbeddingCache
 {
   public:
     /**
@@ -106,12 +91,6 @@ class LatentCache : public embedding::RowSource
                 embedding::RetrievalBackendConfig retrieval = {});
 
     /**
-     * Pre-size the entry map and retrieval index for `expected`
-     * entries (clamped to capacity); used before warm-up bulk loads.
-     */
-    void reserve(std::size_t expected);
-
-    /**
      * Cache the latents of a finished generation. Images from other
      * models are rejected (model dependence) and counted.
      */
@@ -120,131 +99,21 @@ class LatentCache : public embedding::RowSource
 
     /**
      * Look up by the *text* embedding of a new prompt; applies the hit
-     * threshold and decides k.
+     * threshold and decides k. Hides the core's thresholdless
+     * EmbeddingCache::retrieve.
      */
     LatentHit retrieve(const embedding::Embedding &query_text) const;
-
-    /** Record a used hit (utility bookkeeping). */
-    void recordHit(std::uint64_t entry_id);
-
-    /** Entry access; panics when absent. */
-    const LatentEntry &entry(std::uint64_t entry_id) const;
-
-    /** Number of cached latent sets. */
-    std::size_t size() const { return entries_.size(); }
-
-    /** Capacity. */
-    std::size_t capacity() const { return capacity_; }
-
-    /**
-     * Change the capacity mid-run (scripted knob change). Shrinking
-     * evicts down to the new bound; growing just raises it.
-     */
-    void setCapacity(std::size_t capacity);
-
-    /** Bytes stored (latentSetBytes per entry). */
-    double storedBytes() const { return storedBytes_; }
 
     /** Number of inserts rejected due to model mismatch. */
     std::uint64_t rejectedInserts() const { return rejectedInserts_; }
 
-    /**
-     * Slots held by the insertion-order deque, live + stale; bounded
-     * at roughly twice the live entry count by compaction (exposed so
-     * tests can pin the bound).
-     */
-    std::size_t orderSlots() const { return order_.size(); }
-
-    /** Times the insertion-order deque was compacted. */
-    std::uint64_t orderCompactions() const { return orderCompactions_; }
-
     /** The threshold table in use. */
     const NirvanaThresholds &thresholds() const { return thresholds_; }
 
-    /**
-     * Retrieval scan parallelism, forwarded to the retrieval backend:
-     * 1 (default) = serial, 0 = match the global thread pool. Backends
-     * without a sharded scan ignore it.
-     */
-    void setRetrievalParallelism(std::size_t threads)
-    {
-        index_->setParallelism(threads);
-    }
-
-    /**
-     * Serving load in [0, 1], forwarded to the retrieval backend for
-     * load-adaptive search (IVF adaptiveNprobe, HNSW adaptiveEfSearch);
-     * exact backends ignore it.
-     */
-    void setRetrievalLoad(double load) { index_->setLoadSignal(load); }
-
-    /** Runtime efSearch override (scenario knob); 0 ignored. */
-    void setRetrievalEf(std::size_t ef) { index_->setEfSearch(ef); }
-
-    /** Runtime nprobe override (scenario knob); 0 ignored. */
-    void setRetrievalNprobe(std::size_t nprobe)
-    {
-        index_->setNprobe(nprobe);
-    }
-
-    /** Bytes the retrieval backend holds (memory-budget axis). */
-    std::size_t retrievalMemoryBytes() const
-    {
-        return index_->memoryBytes();
-    }
-
-    /**
-     * Exact-row oracle over cached entries (RowSource): returns the
-     * slab row in place (zero-copy; see ImageCache::row).
-     */
-    const float *row(std::uint64_t id) const override
-    {
-        const auto it = entries_.find(id);
-        if (it == entries_.end())
-            return nullptr;
-        ++rowAccesses_;
-        return rows_.row(it->second.embeddingSlot);
-    }
-
-    /** Slab-row pointers handed out through the RowSource. */
-    std::uint64_t rowAccesses() const { return rowAccesses_; }
-
-    /** Lookups compared against an exhaustive scan (recall@1). */
-    std::uint64_t recallChecked() const { return recallChecked_; }
-
-    /** Checked lookups where the backend matched the exact best. */
-    std::uint64_t recallAgreed() const { return recallAgreed_; }
-
-    /** The retrieval backend (exposed for tests and benchmarks). */
-    const embedding::VectorIndex &index() const { return *index_; }
-
-    /** Remove everything (node restart); counters are kept. */
-    void clear();
-
   private:
-    void evictOne();
-    /** Drop stale order slots once they outnumber live ones. */
-    void compactOrder();
-
-    std::size_t capacity_;
     std::string modelName_;
     NirvanaThresholds thresholds_;
-    embedding::RetrievalBackendConfig retrieval_;
-    mutable Rng rng_;
-
-    std::unordered_map<std::uint64_t, LatentEntry> entries_;
-    /** Embedding rows, slot-addressed from LatentEntry (stable slab
-     *  pointers, freelist reuse on eviction). */
-    RowStore rows_;
-    mutable std::uint64_t rowAccesses_ = 0;
-    std::unique_ptr<embedding::VectorIndex> index_;
-    std::deque<std::uint64_t> order_;
-    std::size_t staleOrder_ = 0; // order_ ids no longer in entries_
-    std::uint64_t orderCompactions_ = 0;
-    double storedBytes_ = 0.0;
     std::uint64_t rejectedInserts_ = 0;
-    mutable std::uint64_t recallChecked_ = 0;
-    mutable std::uint64_t recallAgreed_ = 0;
 };
 
 } // namespace modm::cache

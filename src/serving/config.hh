@@ -143,7 +143,7 @@ struct ServingConfig
      */
     KnobPlan knobs = {};
 
-    /** Image cache (MoDM / Pinecone). */
+    /** Cache of MoDM (image) and Pinecone (text-keyed) systems. */
     std::size_t cacheCapacity = 10000;
     cache::EvictionPolicy cachePolicy = cache::EvictionPolicy::FIFO;
     AdmissionPolicy admission = AdmissionPolicy::CacheAll;

@@ -99,7 +99,7 @@ struct KnobPlan
     }
 
     /** Convenience: append a retrieval efSearch override. */
-    KnobPlan &setRetrievalEf(double time, std::size_t ef)
+    KnobPlan &setEfSearch(double time, std::size_t ef)
     {
         KnobEvent event;
         event.time = time;
@@ -110,7 +110,7 @@ struct KnobPlan
     }
 
     /** Convenience: append a retrieval nprobe override. */
-    KnobPlan &setRetrievalNprobe(double time, std::size_t nprobe)
+    KnobPlan &setNprobe(double time, std::size_t nprobe)
     {
         KnobEvent event;
         event.time = time;

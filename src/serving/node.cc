@@ -460,18 +460,6 @@ ServingNode::setCacheShardCapacity(std::size_t capacity)
     scheduler_->setCacheCapacity(capacity);
 }
 
-void
-ServingNode::setRetrievalEf(std::size_t ef)
-{
-    scheduler_->setRetrievalEf(ef);
-}
-
-void
-ServingNode::setRetrievalNprobe(std::size_t nprobe)
-{
-    scheduler_->setRetrievalNprobe(nprobe);
-}
-
 double
 ServingNode::downtimeS(double until) const
 {
@@ -563,7 +551,8 @@ ServingNode::onMonitorTick()
             // Feed the measured load to the retrieval backend so an
             // adaptive IVF index can shed probes under pressure (a
             // no-op for exact backends and when the knob is off).
-            scheduler_->setRetrievalLoad(monitor_->load(lastInputs_));
+            if (auto *cache = scheduler_->cache())
+                cache->index().setLoadSignal(monitor_->load(lastInputs_));
         }
     }
     if (metrics_ != nullptr) {
@@ -605,14 +594,11 @@ ServingNode::stats(double duration) const
         ? 0.0
         : static_cast<double>(sched.hits) /
             static_cast<double>(sched.classified);
-    if (const auto *cache = scheduler_->imageCache()) {
+    if (const auto *cache = scheduler_->cache()) {
         stats.cacheSize = cache->size();
         stats.cacheBytes = cache->storedBytes();
-    } else if (const auto *latents = scheduler_->latentCache()) {
-        stats.cacheSize = latents->size();
-        stats.cacheBytes = latents->storedBytes();
+        stats.retrievalMemoryBytes = cache->index().memoryBytes();
     }
-    stats.retrievalMemoryBytes = scheduler_->retrievalMemoryBytes();
     // A dead node draws no idle power; with no faults the downtime is
     // zero and this reproduces the original accounting bit-for-bit.
     stats.energyJ = cluster_.totalEnergyJ(duration) -

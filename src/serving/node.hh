@@ -222,12 +222,6 @@ class ServingNode
      */
     void setCacheShardCapacity(std::size_t capacity);
 
-    /** Scripted knob change: retrieval efSearch override (0 ignored). */
-    void setRetrievalEf(std::size_t ef);
-
-    /** Scripted knob change: retrieval nprobe override (0 ignored). */
-    void setRetrievalNprobe(std::size_t nprobe);
-
     /** False from kill() until rejoin(). */
     bool alive() const { return alive_; }
 
@@ -274,6 +268,9 @@ class ServingNode
 
     /** The node's scheduler (exposed for tests and diagnostics). */
     const RequestScheduler &scheduler() const { return *scheduler_; }
+
+    /** Mutable scheduler: scripted retrieval knobs reach its index. */
+    RequestScheduler &scheduler() { return *scheduler_; }
 
     /** The node's worker pool. */
     const sim::Cluster &cluster() const { return cluster_; }

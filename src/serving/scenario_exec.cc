@@ -204,11 +204,11 @@ scenarioCellConfig(const workload::Scenario &scenario,
                     op.time, static_cast<std::size_t>(op.knobValue));
                 break;
               case workload::ScenarioKnob::Ef:
-                config.knobs.setRetrievalEf(
+                config.knobs.setEfSearch(
                     op.time, static_cast<std::size_t>(op.knobValue));
                 break;
               case workload::ScenarioKnob::Nprobe:
-                config.knobs.setRetrievalNprobe(
+                config.knobs.setNprobe(
                     op.time, static_cast<std::size_t>(op.knobValue));
                 break;
             }

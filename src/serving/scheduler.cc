@@ -40,12 +40,15 @@ RequestScheduler::RequestScheduler(const ServingConfig &config)
       admission_(config.admission), hitAges_(config.maxTelemetrySamples)
 {
     switch (kind_) {
-      case SystemKind::MoDM:
-        imageCache_ = std::make_unique<cache::ImageCache>(
+      case SystemKind::MoDM: {
+        auto image = std::make_unique<cache::ImageCache>(
             config.cacheCapacity, config.cachePolicy,
             config.imageEncoder, config.seed ^ 0xcac4e5ULL,
             config.retrieval);
+        imageCache_ = image.get();
+        cache_ = std::move(image);
         break;
+      }
       case SystemKind::Pinecone: {
         // Pinecone serves the image cached under the most *textually*
         // similar prompt; the text-keyed cache structure is shared
@@ -54,25 +57,28 @@ RequestScheduler::RequestScheduler(const ServingConfig &config)
         thresholds.hitThreshold = config.pineconeThreshold;
         thresholds.similarityFloors = {config.pineconeThreshold};
         thresholds.kValues = {0};
-        latentCache_ = std::make_unique<cache::LatentCache>(
+        auto latent = std::make_unique<cache::LatentCache>(
             config.cacheCapacity, config.largeModel.name, thresholds,
             config.seed ^ 0xcac4e5ULL, config.retrieval);
+        latentCache_ = latent.get();
+        cache_ = std::move(latent);
         break;
       }
-      case SystemKind::Nirvana:
-        latentCache_ = std::make_unique<cache::LatentCache>(
+      case SystemKind::Nirvana: {
+        auto latent = std::make_unique<cache::LatentCache>(
             config.latentCacheCapacity, config.largeModel.name,
             config.nirvana, config.seed ^ 0xcac4e5ULL,
             config.retrieval);
+        latentCache_ = latent.get();
+        cache_ = std::move(latent);
         break;
+      }
       case SystemKind::Vanilla:
       case SystemKind::StandaloneSmall:
         break;
     }
-    if (imageCache_)
-        imageCache_->setRetrievalParallelism(config.retrievalParallelism);
-    if (latentCache_)
-        latentCache_->setRetrievalParallelism(config.retrievalParallelism);
+    if (cache_)
+        cache_->index().setParallelism(config.retrievalParallelism);
 }
 
 ClassifiedJob
@@ -122,7 +128,7 @@ RequestScheduler::classify(const workload::Request &request, double now)
             job.direct = true;
             job.similarity = hit.similarity;
             job.base = latentCache_->entry(hit.entryId).image;
-            latentCache_->recordHit(hit.entryId);
+            latentCache_->recordHit(hit.entryId, now);
             hitAges_.push(now - job.base.createdAt);
             ++stats_.directReturns;
         }
@@ -137,7 +143,7 @@ RequestScheduler::classify(const workload::Request &request, double now)
             job.similarity = hit.similarity;
             job.k = hit.k;
             job.base = latentCache_->entry(hit.entryId).image;
-            latentCache_->recordHit(hit.entryId);
+            latentCache_->recordHit(hit.entryId, now);
             hitAges_.push(now - job.base.createdAt);
             ++stats_.kCounts[job.k];
         }
@@ -153,68 +159,24 @@ RequestScheduler::classify(const workload::Request &request, double now)
 }
 
 void
-RequestScheduler::setRetrievalLoad(double load)
-{
-    if (imageCache_)
-        imageCache_->setRetrievalLoad(load);
-    if (latentCache_)
-        latentCache_->setRetrievalLoad(load);
-}
-
-void
-RequestScheduler::setRetrievalEf(std::size_t ef)
-{
-    if (imageCache_)
-        imageCache_->setRetrievalEf(ef);
-    if (latentCache_)
-        latentCache_->setRetrievalEf(ef);
-}
-
-void
-RequestScheduler::setRetrievalNprobe(std::size_t nprobe)
-{
-    if (imageCache_)
-        imageCache_->setRetrievalNprobe(nprobe);
-    if (latentCache_)
-        latentCache_->setRetrievalNprobe(nprobe);
-}
-
-std::size_t
-RequestScheduler::retrievalMemoryBytes() const
-{
-    std::size_t bytes = 0;
-    if (imageCache_)
-        bytes += imageCache_->retrievalMemoryBytes();
-    if (latentCache_)
-        bytes += latentCache_->retrievalMemoryBytes();
-    return bytes;
-}
-
-void
 RequestScheduler::clearCaches()
 {
-    if (imageCache_)
-        imageCache_->clear();
-    if (latentCache_)
-        latentCache_->clear();
+    if (cache_)
+        cache_->clear();
 }
 
 void
 RequestScheduler::reserveCache(std::size_t expected)
 {
-    if (imageCache_)
-        imageCache_->reserve(expected);
-    if (latentCache_)
-        latentCache_->reserve(expected);
+    if (cache_)
+        cache_->reserve(expected);
 }
 
 void
 RequestScheduler::setCacheCapacity(std::size_t capacity)
 {
-    if (imageCache_)
-        imageCache_->setCapacity(capacity);
-    if (latentCache_)
-        latentCache_->setCapacity(capacity);
+    if (cache_)
+        cache_->setCapacity(capacity);
 }
 
 void
@@ -228,13 +190,10 @@ RequestScheduler::admitGenerated(const diffusion::Image &image,
             imageCache_->insert(image, now);
         break;
       case SystemKind::Pinecone:
-        // Retrieval-only serving caches the images it generates,
-        // keyed by the producing prompt's text embedding.
-        if (from_miss)
-            latentCache_->insert(image, text_embedding, now);
-        break;
       case SystemKind::Nirvana:
-        // Latents exist only for full large-model generations.
+        // Both key the producing prompt's text embedding. Latents
+        // exist only for full large-model generations, and Pinecone's
+        // retrieval-only serving caches only the images it generates.
         if (from_miss)
             latentCache_->insert(image, text_embedding, now);
         break;

@@ -5,8 +5,9 @@
  * maintains cache content as generations complete.
  *
  * The scheduler owns the text tower (the paper hosts a CLIP model in the
- * scheduler process), MoDM's image cache, and — when running the Nirvana
- * baseline — the latent cache.
+ * scheduler process) and the system's one cache: MoDM's image cache, or
+ * — when running the Nirvana or Pinecone baseline — the text-keyed
+ * latent cache.
  */
 
 #ifndef MODM_SERVING_SCHEDULER_HH
@@ -39,8 +40,8 @@ struct ClassifiedJob
     bool direct = false;
     /** Steps to skip when refining. */
     int k = 0;
-    /** Retrieval similarity (text-to-image for MoDM/Pinecone,
-     *  text-to-text for Nirvana); -1 on miss. */
+    /** Retrieval similarity (text-to-image for MoDM, text-to-text
+     *  for Nirvana/Pinecone); -1 on miss. */
     double similarity = -1.0;
     /** Copy of the retrieved image (valid when hit). */
     diffusion::Image base;
@@ -91,16 +92,16 @@ class RequestScheduler
     ClassifiedJob classify(const workload::Request &request, double now);
 
     /**
-     * Pre-size the system's cache (image or latent) for an expected
-     * number of entries — the warm-up phase calls this so bulk
-     * admission avoids index reallocation and rehash churn.
+     * Pre-size the system's cache for an expected number of entries —
+     * the warm-up phase calls this so bulk admission avoids index
+     * reallocation and rehash churn.
      */
     void reserveCache(std::size_t expected);
 
     /**
-     * Re-bound whichever cache this system runs (image and/or latent)
-     * to a new shard capacity; shrinking evicts down under the shard's
-     * own eviction policy. Scripted knob changes land here.
+     * Re-bound the system's cache to a new shard capacity; shrinking
+     * evicts down under the shard's own eviction policy. Scripted knob
+     * changes land here.
      */
     void setCacheCapacity(std::size_t capacity);
 
@@ -118,20 +119,27 @@ class RequestScheduler
                         const embedding::Embedding &text_embedding,
                         bool from_miss, double now);
 
-    /** MoDM/Pinecone image cache (present for those kinds). */
-    cache::ImageCache *imageCache() { return imageCache_.get(); }
+    /**
+     * The system's cache core: MoDM's image cache or the text-keyed
+     * cache of Nirvana/Pinecone; null for Vanilla/StandaloneSmall.
+     * Retrieval knobs are set on its index() directly.
+     */
+    cache::EmbeddingCache *cache() { return cache_.get(); }
+
+    /** Const cache-core access. */
+    const cache::EmbeddingCache *cache() const { return cache_.get(); }
+
+    /** MoDM image cache (null for other kinds). */
+    cache::ImageCache *imageCache() { return imageCache_; }
 
     /** Const image-cache access. */
-    const cache::ImageCache *imageCache() const { return imageCache_.get(); }
+    const cache::ImageCache *imageCache() const { return imageCache_; }
 
-    /** Nirvana latent cache (null for other kinds). */
-    cache::LatentCache *latentCache() { return latentCache_.get(); }
+    /** Nirvana/Pinecone text-keyed cache (null for other kinds). */
+    cache::LatentCache *latentCache() { return latentCache_; }
 
     /** Const latent-cache access. */
-    const cache::LatentCache *latentCache() const
-    {
-        return latentCache_.get();
-    }
+    const cache::LatentCache *latentCache() const { return latentCache_; }
 
     /** Text tower. */
     const embedding::TextEncoder &textEncoder() const { return text_; }
@@ -157,29 +165,9 @@ class RequestScheduler
     std::uint64_t hitAgesSeen() const { return hitAges_.seen(); }
 
     /**
-     * Forward the monitor's normalized load signal to the retrieval
-     * backends, so an adaptive index can shed probes (IVF) or beam
-     * width (HNSW) under pressure. A no-op for exact backends and when
-     * the matching adaptive knob is off.
-     */
-    void setRetrievalLoad(double load);
-
-    /** Forward a runtime efSearch override (scenario knob); 0 ignored. */
-    void setRetrievalEf(std::size_t ef);
-
-    /** Forward a runtime nprobe override (scenario knob); 0 ignored. */
-    void setRetrievalNprobe(std::size_t nprobe);
-
-    /**
-     * Bytes the active retrieval backend holds right now (the
-     * memory-budget axis); 0 when this system runs no cache.
-     */
-    std::size_t retrievalMemoryBytes() const;
-
-    /**
-     * Drop all cached content (image and latent caches): a killed
-     * node's shard dies with it, so a rejoin starts cold. Aggregate
-     * counters survive — they are run telemetry, not cache state.
+     * Drop all cached content: a killed node's shard dies with it, so
+     * a rejoin starts cold. Aggregate counters survive — they are run
+     * telemetry, not cache state.
      */
     void clearCaches();
 
@@ -189,8 +177,10 @@ class RequestScheduler
     embedding::TextEncoder text_;
     KDecision kDecision_;
     AdmissionPolicy admission_;
-    std::unique_ptr<cache::ImageCache> imageCache_;
-    std::unique_ptr<cache::LatentCache> latentCache_;
+    std::unique_ptr<cache::EmbeddingCache> cache_;
+    /** Typed views of cache_ (at most one is set). */
+    cache::ImageCache *imageCache_ = nullptr;
+    cache::LatentCache *latentCache_ = nullptr;
     SchedulerStats stats_;
     SampledVector<double> hitAges_;
 };

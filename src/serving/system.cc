@@ -329,12 +329,16 @@ ServingSystem::onKnob(const KnobEvent &event)
         config_.cluster.replicationFactor = event.value;
         break;
       case KnobTarget::RetrievalEf:
-        for (auto &node : nodes_)
-            node->setRetrievalEf(event.value);
+        for (auto &node : nodes_) {
+            if (auto *cache = node->scheduler().cache())
+                cache->index().setEfSearch(event.value);
+        }
         break;
       case KnobTarget::RetrievalNprobe:
-        for (auto &node : nodes_)
-            node->setRetrievalNprobe(event.value);
+        for (auto &node : nodes_) {
+            if (auto *cache = node->scheduler().cache())
+                cache->index().setNprobe(event.value);
+        }
         break;
     }
 }

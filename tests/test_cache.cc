@@ -1,11 +1,17 @@
 /**
  * @file
  * Unit tests for the cache substrate: the image cache (insert, retrieve,
- * eviction policies, storage accounting) and the Nirvana latent cache
- * (text-to-text retrieval, model dependence, threshold-mapped k).
+ * eviction policies, storage accounting), the Nirvana latent cache
+ * (text-to-text retrieval, model dependence, threshold-mapped k), and
+ * the embedding-cache contract both share (typed CacheCore tests).
  */
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <memory>
+#include <string>
+#include <type_traits>
 
 #include "src/cache/image_cache.hh"
 #include "src/cache/latent_cache.hh"
@@ -201,7 +207,7 @@ TEST(LatentCache, UtilityEvictionSparesHotEntries)
         cache.insert(makeImage(i, rng), emb, 0.0);
     }
     for (int hit = 0; hit < 50; ++hit)
-        cache.recordHit(3);
+        cache.recordHit(3, 0.0);
     for (std::uint64_t i = 21; i <= 32; ++i) {
         const auto emb = text.encode(randomUnitVec(64, rng),
                                      randomUnitVec(64, rng), "p");
@@ -252,36 +258,10 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto &info) { return policyName(info.param); });
 
 /**
- * Regression for the Utility-policy fifo leak: mid-deque evictions
- * used to leave stale ids in the FIFO deque forever, so long traces
- * grew it without bound. Opportunistic compaction must keep the slot
- * count within ~2x of the live entries at every step.
+ * LRU evicts mid-deque too; the insertion-order bound of the typed
+ * CacheCore tests below must hold under it as well.
  */
-TEST(ImageCache, UtilityFifoSlotsStayBounded)
-{
-    Rng rng(17);
-    constexpr std::size_t kCapacity = 100;
-    ImageCache cache(kCapacity, EvictionPolicy::Utility);
-    embedding::ImageEncoder enc;
-    for (std::uint64_t i = 1; i <= 5000; ++i) {
-        cache.insert(makeImage(i, rng), static_cast<double>(i));
-        if (i % 3 == 0) {
-            const auto q = enc.encode(
-                randomUnitVec(embedding::kEmbeddingDim, rng), 1.0,
-                2000000 + i);
-            const auto r = cache.retrieve(q);
-            if (r.found)
-                cache.recordHit(r.entryId, static_cast<double>(i));
-        }
-        ASSERT_LE(cache.fifoSlots(), 2 * kCapacity + 1)
-            << "stale fifo slots accumulating at insert " << i;
-    }
-    EXPECT_EQ(cache.size(), kCapacity);
-    EXPECT_GT(cache.stats().fifoCompactions, 0u);
-}
-
-/** LRU evicts mid-deque too; the same bound must hold. */
-TEST(ImageCache, LruFifoSlotsStayBounded)
+TEST(ImageCache, LruOrderSlotsStayBounded)
 {
     Rng rng(19);
     constexpr std::size_t kCapacity = 64;
@@ -289,16 +269,205 @@ TEST(ImageCache, LruFifoSlotsStayBounded)
     embedding::ImageEncoder enc;
     for (std::uint64_t i = 1; i <= 3000; ++i) {
         cache.insert(makeImage(i, rng), static_cast<double>(i));
-        // Hits shuffle LRU order so victims are rarely the fifo front.
+        // Hits shuffle LRU order so victims are rarely the order front.
         const auto q = enc.encode(
             randomUnitVec(embedding::kEmbeddingDim, rng), 1.0,
             3000000 + i);
         const auto r = cache.retrieve(q);
         if (r.found)
             cache.recordHit(r.entryId, static_cast<double>(i));
-        ASSERT_LE(cache.fifoSlots(), 2 * kCapacity + 1);
+        ASSERT_LE(cache.orderSlots(), 2 * kCapacity + 1);
     }
     EXPECT_EQ(cache.size(), kCapacity);
+}
+
+/**
+ * The shared contract of the embedding-cache core, typed over both
+ * layers. Each layer type builds a cache and derives an entry's image
+ * and key embedding from its id alone, so a test can re-derive what
+ * the cache must hold.
+ */
+struct ImageLayer
+{
+    using Cache = ImageCache;
+    static constexpr double kEntryBytes = 1.4e6;
+
+    static std::unique_ptr<ImageCache> make(std::size_t capacity)
+    {
+        return std::make_unique<ImageCache>(capacity,
+                                            EvictionPolicy::Utility);
+    }
+
+    static diffusion::Image image(std::uint64_t id)
+    {
+        Rng rng(id);
+        return makeImage(id, rng);
+    }
+
+    /** The image-tower key of entry `id`; any id is a valid query. */
+    static embedding::Embedding key(std::uint64_t id)
+    {
+        static const embedding::ImageEncoder encoder;
+        const auto img = image(id);
+        return encoder.encode(img.content, img.fidelity, img.id);
+    }
+
+    static void insert(ImageCache &cache, std::uint64_t id, double now)
+    {
+        cache.insert(image(id), now);
+    }
+};
+
+struct LatentLayer
+{
+    using Cache = LatentCache;
+    static constexpr double kEntryBytes = kLatentSetBytes;
+
+    static std::unique_ptr<LatentCache> make(std::size_t capacity)
+    {
+        return std::make_unique<LatentCache>(capacity, "SD3.5L");
+    }
+
+    /** The prompt-text key of entry `id`; any id is a valid query. */
+    static embedding::Embedding key(std::uint64_t id)
+    {
+        static const embedding::TextEncoder encoder;
+        Rng rng(id);
+        const Vec visual = randomUnitVec(64, rng);
+        const Vec lexical = randomUnitVec(64, rng);
+        return encoder.encode(visual, lexical, "p");
+    }
+
+    static void insert(LatentCache &cache, std::uint64_t id, double now)
+    {
+        Rng rng(id);
+        cache.insert(makeImage(id, rng), key(id), now);
+    }
+};
+
+struct LayerNames
+{
+    template <typename Layer>
+    static std::string GetName(int)
+    {
+        return std::is_same_v<Layer, ImageLayer> ? "Image" : "Latent";
+    }
+};
+
+template <typename Layer>
+class CacheCore : public ::testing::Test
+{
+};
+
+using CacheLayers = ::testing::Types<ImageLayer, LatentLayer>;
+TYPED_TEST_SUITE(CacheCore, CacheLayers, LayerNames);
+
+/** setCapacity shrink evicts down to the bound; growing only raises it. */
+TYPED_TEST(CacheCore, ShrinkEvictsDownToBound)
+{
+    auto cache = TypeParam::make(40);
+    for (std::uint64_t id = 1; id <= 40; ++id)
+        TypeParam::insert(*cache, id, static_cast<double>(id));
+    cache->recordHit(7, 41.0);
+
+    cache->setCapacity(10);
+    EXPECT_EQ(cache->capacity(), 10u);
+    EXPECT_EQ(cache->size(), 10u);
+    EXPECT_EQ(cache->stats().evictions, 30u);
+    EXPECT_EQ(cache->index().size(), 10u);
+    EXPECT_DOUBLE_EQ(cache->storedBytes(), 10 * TypeParam::kEntryBytes);
+
+    cache->setCapacity(20);
+    EXPECT_EQ(cache->size(), 10u);
+    for (std::uint64_t id = 41; id <= 60; ++id)
+        TypeParam::insert(*cache, id, static_cast<double>(id));
+    EXPECT_EQ(cache->size(), 20u);
+    EXPECT_EQ(cache->stats().evictions, 40u);
+}
+
+/**
+ * The kill -> cold-rejoin path: clear() drops every entry but keeps
+ * the statistics, and the same ids can be admitted again.
+ */
+TYPED_TEST(CacheCore, ClearThenReinsertSameIds)
+{
+    auto cache = TypeParam::make(16);
+    for (std::uint64_t id = 1; id <= 16; ++id)
+        TypeParam::insert(*cache, id, 0.0);
+    cache->clear();
+    EXPECT_EQ(cache->size(), 0u);
+    EXPECT_EQ(cache->index().size(), 0u);
+    EXPECT_EQ(cache->orderSlots(), 0u);
+    EXPECT_DOUBLE_EQ(cache->storedBytes(), 0.0);
+    EXPECT_FALSE(cache->contains(3));
+    EXPECT_EQ(cache->row(3), nullptr);
+
+    for (std::uint64_t id = 1; id <= 16; ++id)
+        TypeParam::insert(*cache, id, 1.0);
+    EXPECT_EQ(cache->size(), 16u);
+    EXPECT_EQ(cache->stats().insertions, 32u);
+    EXPECT_EQ(cache->stats().evictions, 0u);
+    const auto best = static_cast<const EmbeddingCache &>(*cache)
+                          .retrieve(TypeParam::key(9));
+    ASSERT_TRUE(best.found);
+    EXPECT_EQ(best.entryId, 9u);
+}
+
+/** row(id) returns the new entry's key after its slab slot is reused. */
+TYPED_TEST(CacheCore, RowFollowsReusedSlot)
+{
+    auto cache = TypeParam::make(1);
+    TypeParam::insert(*cache, 1, 0.0);
+    const float *slot = cache->row(1);
+    ASSERT_NE(slot, nullptr);
+
+    TypeParam::insert(*cache, 2, 1.0); // evicts 1, reuses its slot
+    EXPECT_EQ(cache->row(1), nullptr);
+    const float *row = cache->row(2);
+    EXPECT_EQ(row, slot);
+    const auto key = TypeParam::key(2);
+    EXPECT_EQ(std::memcmp(row, key.vec().data(),
+                          key.dim() * sizeof(float)),
+              0);
+}
+
+/**
+ * Utility eviction erases mid-deque and leaves stale ids behind
+ * (lazy deletion); compaction must bound the insertion-order deque at
+ * ~2x the live entries at every step. Two churn inputs: hits on the
+ * best match of a random query every third insert, and a hit on every
+ * fresh entry at a frozen clock (so utilities tie and victims are
+ * rarely the front).
+ */
+TYPED_TEST(CacheCore, OrderSlotsStayBoundedUnderChurn)
+{
+    struct Churn
+    {
+        std::size_t capacity;
+        std::uint64_t inserts;
+        bool hitFresh;
+    };
+    for (const Churn churn : {Churn{100, 5000, false},
+                              Churn{40, 2000, true}}) {
+        auto cache = TypeParam::make(churn.capacity);
+        for (std::uint64_t id = 1; id <= churn.inserts; ++id) {
+            const double now =
+                churn.hitFresh ? 0.0 : static_cast<double>(id);
+            TypeParam::insert(*cache, id, now);
+            if (churn.hitFresh) {
+                cache->recordHit(id, now);
+            } else if (id % 3 == 0) {
+                const auto r = static_cast<const EmbeddingCache &>(*cache)
+                                   .retrieve(TypeParam::key(2000000 + id));
+                if (r.found)
+                    cache->recordHit(r.entryId, now);
+            }
+            ASSERT_LE(cache->orderSlots(), 2 * churn.capacity + 1)
+                << "stale order slots accumulating at insert " << id;
+        }
+        EXPECT_EQ(cache->size(), churn.capacity);
+        EXPECT_GT(cache->stats().orderCompactions, 0u);
+    }
 }
 
 /**
@@ -324,7 +493,7 @@ TEST(ImageCacheDeathTest, RecordHitOnAbsentEntryPanics)
 
 /**
  * Utility eviction must keep working when the sampled candidates are
- * dominated by stale fifo slots: a churn-heavy, hit-heavy trace where
+ * dominated by stale order slots: a churn-heavy, hit-heavy trace where
  * victims are mostly mid-deque. After churn the cache must still be
  * exactly at capacity with consistent retrieval.
  */
@@ -351,32 +520,6 @@ TEST(ImageCache, UtilityEvictionSkipsStaleSlots)
 }
 
 /**
- * The latent cache's insertion-order deque has the same lazy-deletion
- * design as the image cache's FIFO: utility eviction from the middle
- * leaves stale ids behind, and compaction must bound them at ~2x the
- * live entries on long churn-heavy traces.
- */
-TEST(LatentCache, OrderSlotsStayBoundedUnderUtilityChurn)
-{
-    Rng rng(43);
-    constexpr std::size_t kCapacity = 40;
-    LatentCache cache(kCapacity, "SD3.5L");
-    embedding::TextEncoder text;
-    for (std::uint64_t i = 1; i <= 2000; ++i) {
-        const auto emb = text.encode(randomUnitVec(64, rng),
-                                     randomUnitVec(64, rng), "p");
-        cache.insert(makeImage(i, rng), emb, static_cast<double>(i));
-        // Hit the fresh entry so utilities tie and sampled eviction
-        // picks mid-deque victims, not the front.
-        cache.recordHit(i);
-        ASSERT_LE(cache.orderSlots(), 2 * kCapacity + 1)
-            << "stale order slots accumulating at insert " << i;
-    }
-    EXPECT_EQ(cache.size(), kCapacity);
-    EXPECT_GT(cache.orderCompactions(), 0u);
-}
-
-/**
  * Eviction interleaved with *parallel* top-k retrieval: a cache using
  * sharded scans must return bit-identical results to a serial twin fed
  * the exact same insert/hit/evict sequence, across heavy churn.
@@ -387,8 +530,8 @@ TEST(ImageCache, EvictionInterleavedWithParallelTopK)
     Rng rngA(31), rngB(31);
     ImageCache parallel(kCapacity, EvictionPolicy::Utility);
     ImageCache serial(kCapacity, EvictionPolicy::Utility);
-    parallel.setRetrievalParallelism(4);
-    parallel.setRetrievalParallelThreshold(0);
+    parallel.index().setParallelism(4);
+    parallel.index().setParallelThreshold(0);
     embedding::ImageEncoder enc;
     for (std::uint64_t i = 1; i <= 600; ++i) {
         parallel.insert(makeImage(i, rngA), static_cast<double>(i));
@@ -410,7 +553,7 @@ TEST(ImageCache, EvictionInterleavedWithParallelTopK)
         }
     }
     EXPECT_EQ(parallel.size(), serial.size());
-    EXPECT_EQ(parallel.fifoSlots(), serial.fifoSlots());
+    EXPECT_EQ(parallel.orderSlots(), serial.orderSlots());
 }
 
 } // namespace

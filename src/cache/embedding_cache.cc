@@ -25,7 +25,7 @@ EmbeddingCache::EmbeddingCache(std::size_t capacity, EvictionPolicy policy,
                                std::uint64_t seed,
                                embedding::RetrievalBackendConfig retrieval)
     : capacity_(capacity), policy_(policy), recencyWeight_(recency_weight),
-      retrieval_(retrieval), rng_(seed), rows_(dim),
+      trackRecall_(retrieval.trackRecall), rng_(seed), rows_(dim),
       index_(embedding::makeVectorIndex(retrieval, dim))
 {
     MODM_ASSERT(capacity_ > 0, "cache capacity must be positive");
@@ -84,7 +84,7 @@ EmbeddingCache::retrieve(const embedding::Embedding &query) const
     result.found = true;
     result.entryId = match.id;
     result.similarity = match.similarity;
-    if (retrieval_.trackRecall && index_->approximate()) {
+    if (trackRecall_ && index_->approximate()) {
         // Quality attribution for approximate backends: did this
         // lookup return the entry an exhaustive scan would have?
         const auto exact = index_->exactBest(query);

@@ -167,9 +167,6 @@ class EmbeddingCache : public embedding::RowSource
     /** Statistics. */
     const CacheStats &stats() const { return stats_; }
 
-    /** Active policy. */
-    EvictionPolicy policy() const { return policy_; }
-
     /**
      * Exact-row oracle over cached entries (RowSource): returns the
      * slab row in place — quantized backends re-rank against it with
@@ -187,12 +184,6 @@ class EmbeddingCache : public embedding::RowSource
      */
     embedding::VectorIndex &index() { return *index_; }
     const embedding::VectorIndex &index() const { return *index_; }
-
-    /** Active retrieval-backend configuration. */
-    const embedding::RetrievalBackendConfig &retrievalConfig() const
-    {
-        return retrieval_;
-    }
 
     /**
      * Slots currently held by the insertion-order deque, live + stale.
@@ -222,7 +213,8 @@ class EmbeddingCache : public embedding::RowSource
     std::size_t capacity_;
     EvictionPolicy policy_;
     double recencyWeight_;
-    embedding::RetrievalBackendConfig retrieval_;
+    /** Compare approximate lookups against an exhaustive scan. */
+    bool trackRecall_;
     Rng rng_;
 
     std::unordered_map<std::uint64_t, CacheEntry> entries_;

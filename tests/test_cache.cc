@@ -289,7 +289,6 @@ TEST(ImageCache, LruOrderSlotsStayBounded)
  */
 struct ImageLayer
 {
-    using Cache = ImageCache;
     static constexpr double kEntryBytes = 1.4e6;
 
     static std::unique_ptr<ImageCache> make(std::size_t capacity)
@@ -320,7 +319,6 @@ struct ImageLayer
 
 struct LatentLayer
 {
-    using Cache = LatentCache;
     static constexpr double kEntryBytes = kLatentSetBytes;
 
     static std::unique_ptr<LatentCache> make(std::size_t capacity)

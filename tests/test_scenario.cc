@@ -212,9 +212,11 @@ TEST(ScenarioParseDeath, LoadOrDieReportsFileAndLine)
 
 /** Every checked-in scenario file, relative to MODM_SCENARIO_DIR. */
 const char *const kCheckedInScenarios[] = {
-    "fig06_hit_rate.scn",   "fig18_energy.scn", "steady_state.scn",
-    "flash_crowd.scn",      "diurnal.scn",      "topic_drift.scn",
+    "fig06_hit_rate.scn",   "fig18_energy.scn",
+    "steady_state.scn",     "flash_crowd.scn",
+    "diurnal.scn",          "topic_drift.scn",
     "regional_skew.scn",    "failover_killmid.scn",
+    "cache_eviction.scn",   "retrieval_backends.scn",
 };
 
 std::string

@@ -44,7 +44,7 @@ BM_IndexRetrieval(benchmark::State &state)
 {
     const std::size_t entries = state.range(0);
     Rng rng(7);
-    embedding::CosineIndex index;
+    embedding::FlatIndex index;
     for (std::size_t i = 0; i < entries; ++i)
         index.insert(i, embedding::Embedding(
                             randomUnitVec(embedding::kEmbeddingDim, rng)));
@@ -67,12 +67,12 @@ BENCHMARK(BM_IndexRetrieval)->Arg(1000)->Arg(10000)->Arg(100000);
 constexpr std::size_t kBigDim = 512;
 constexpr std::size_t kBigEntries = 100000;
 
-embedding::CosineIndex &
+embedding::FlatIndex &
 bigIndex()
 {
-    static embedding::CosineIndex index = [] {
+    static embedding::FlatIndex index = [] {
         Rng rng(7);
-        embedding::CosineIndex idx(kBigDim);
+        embedding::FlatIndex idx(kBigDim);
         for (std::size_t i = 0; i < kBigEntries; ++i)
             idx.insert(i, embedding::Embedding(randomUnitVec(kBigDim, rng)));
         return idx;

@@ -7,13 +7,13 @@
  * TaskGroups so a caller can wait on exactly the batch it submitted;
  * while waiting, the caller *helps* by draining its own group's queued
  * tasks, which makes nested submission safe: a pool task may itself
- * create a group, submit, and wait (e.g. a sharded CosineIndex scan
+ * create a group, submit, and wait (e.g. a sharded FlatIndex scan
  * inside an experiment that is itself a pool task) without deadlocking
  * even when every worker is busy. Independent groups submit and run
  * concurrently — no cross-caller serialization.
  *
  * parallelFor() is a convenience built on TaskGroup for the
- * embarrassingly-parallel sharded scans (CosineIndex::best/topK): the
+ * embarrassingly-parallel sharded scans (FlatIndex::best/topK): the
  * caller runs shard 0 itself and drains the rest, so a pool with zero
  * workers degrades to a plain serial loop.
  *

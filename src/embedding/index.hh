@@ -146,9 +146,6 @@ class FlatIndex final : public VectorIndex
     std::unordered_map<std::uint64_t, std::size_t> slotOf_; // id -> slot
 };
 
-/** Historical name of the flat backend, kept for existing callers. */
-using CosineIndex = FlatIndex;
-
 } // namespace modm::embedding
 
 #endif // MODM_EMBEDDING_INDEX_HH

@@ -4,12 +4,13 @@
  * VectorIndex interface (vector_index.hh).
  *
  * An IVF index partitions the embedding space with a coarse quantizer
- * (spherical k-means centroids) and stores each row in the flat list of
- * its nearest centroid. A query scores all centroids, then scans only
- * the `nprobe` nearest lists — sub-linear work at cache scale (100k-1M
- * rows) at the cost of missing a neighbour that fell into an unprobed
- * list. recall@1 at the default nprobe stays >= 0.95 on clustered
- * embedding workloads (pinned by the property suite).
+ * (spherical k-means centroids, coarse_quantizer.hh) and stores each
+ * row in the flat list of its nearest centroid. A query scores all
+ * centroids, then scans only the `nprobe` nearest lists — sub-linear
+ * work at cache scale (100k-1M rows) at the cost of missing a
+ * neighbour that fell into an unprobed list. recall@1 at the default
+ * nprobe stays >= 0.95 on clustered embedding workloads (pinned by
+ * the property suite).
  *
  * Life cycle, built for cache churn (FIFO/LRU/Utility eviction insert
  * and remove continuously):
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "src/common/row_store.hh"
+#include "src/embedding/coarse_quantizer.hh"
 #include "src/embedding/embedding.hh"
 #include "src/embedding/vector_index.hh"
 
@@ -54,13 +56,6 @@ namespace modm::embedding {
 class IvfIndex final : public VectorIndex
 {
   public:
-    /** Rows-per-list factor that triggers initial training. */
-    static constexpr std::size_t kTrainFactor = 4;
-    /** Training-set cap; larger indexes train on a stride sample. */
-    static constexpr std::size_t kMaxTrainRows = 16384;
-    /** Lloyd iterations per (re)training. */
-    static constexpr std::size_t kKmeansIters = 8;
-
     /** Create an index for embeddings of the given dimensionality. */
     explicit IvfIndex(const RetrievalBackendConfig &config,
                       std::size_t dim = kEmbeddingDim);
@@ -101,7 +96,7 @@ class IvfIndex final : public VectorIndex
     std::size_t effectiveNprobe() const;
 
     /** True once the coarse quantizer has been trained. */
-    bool trained() const { return trained_; }
+    bool trained() const { return quantizer_.trained(); }
 
     /** Lists the quantizer currently maintains. */
     std::size_t nlist() const { return lists_.size(); }
@@ -130,12 +125,9 @@ class IvfIndex final : public VectorIndex
         std::size_t pos;
     };
 
-    /** Nearest-centroid list for a row (ties: lowest index). */
-    std::size_t assignList(const float *row) const;
-
-    /** Fold one list's rows into the running best match. */
-    void bestInList(const List &l, const float *query, Match &best,
-                    bool &found) const;
+    /** Offer every row of one list to a top-k selection. */
+    void scanList(const List &l, const float *query,
+                  TopMatches &top) const;
 
     /** Append a row to a list and record its location. */
     void appendToList(std::size_t list, std::uint64_t id,
@@ -144,22 +136,15 @@ class IvfIndex final : public VectorIndex
     /** Seeded k-means over current contents; re-bins every row. */
     void train();
 
-    /** Retrain when list skew exceeds the configured bound. */
-    void maybeRetrain();
-
-    /** Indexes of the `nprobe` highest-scoring centroids for a query. */
-    std::vector<std::size_t> probeLists(const float *query) const;
-
     std::size_t dim_;
     RetrievalBackendConfig config_;
     /** Latest monitor load signal (adaptive probe scheduling). */
     double load_ = 0.0;
-    bool trained_ = false;
     std::uint64_t trainings_ = 0;
     /** Inserts since the last training (bounds retrain frequency). */
     std::size_t insertsSinceTrain_ = 0;
-    std::vector<float> centroids_;  // lists_.size() * dim_ when trained
-    std::vector<List> lists_;       // single list until trained
+    CoarseQuantizer quantizer_;
+    std::vector<List> lists_; // single list until trained
     std::unordered_map<std::uint64_t, Location> locator_;
 };
 

@@ -42,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/embedding/coarse_quantizer.hh"
 #include "src/embedding/embedding.hh"
 #include "src/embedding/vector_index.hh"
 
@@ -53,14 +54,8 @@ namespace modm::embedding {
 class IvfPqIndex final : public VectorIndex
 {
   public:
-    /** Rows-per-list factor that triggers initial training. */
-    static constexpr std::size_t kTrainFactor = 4;
-    /** Coarse-quantizer training-sample cap (stride sample above). */
-    static constexpr std::size_t kMaxTrainRows = 16384;
     /** Codebook training-sample cap (k-means is ksub x this per sub). */
     static constexpr std::size_t kMaxCodebookRows = 2048;
-    /** Lloyd iterations per (re)training. */
-    static constexpr std::size_t kKmeansIters = 8;
     /** ADC shortlist re-ranked (exactly, when a RowSource is set). */
     static constexpr std::size_t kRerank = 128;
     /**
@@ -92,7 +87,7 @@ class IvfPqIndex final : public VectorIndex
     std::size_t memoryBytes() const override;
 
     /** Quantized once trained (ADC ordering, shortlist re-rank). */
-    bool approximate() const override { return trained_; }
+    bool approximate() const override { return trained(); }
 
     /**
      * Exhaustive exact scan via the RowSource when attached (recall
@@ -116,7 +111,7 @@ class IvfPqIndex final : public VectorIndex
     std::size_t effectiveNprobe() const;
 
     /** True once centroids and codebooks have been trained. */
-    bool trained() const { return trained_; }
+    bool trained() const { return quantizer_.trained(); }
 
     /** Times the quantizers have (re)trained. */
     std::uint64_t trainings() const { return trainings_; }
@@ -153,9 +148,6 @@ class IvfPqIndex final : public VectorIndex
     void setCodeAt(std::uint8_t *row, std::size_t m,
                    std::size_t code) const;
 
-    /** Nearest-centroid list for a row (ties: lowest index). */
-    std::size_t assignList(const float *row) const;
-
     /** Encode a row's residual against its list centroid. */
     void encodeRow(std::size_t list, const float *row,
                    std::uint8_t *codes) const;
@@ -179,9 +171,6 @@ class IvfPqIndex final : public VectorIndex
     /** Retrain on list skew or kRetrainGrowth-fold index growth. */
     void maybeRetrain();
 
-    /** Indexes of the `nprobe` highest-scoring centroids. */
-    std::vector<std::size_t> probeLists(const float *query) const;
-
     /** Top ADC candidates (score desc, id asc) over probed lists. */
     std::vector<Match> adcShortlist(const float *query,
                                     std::size_t keep) const;
@@ -194,13 +183,12 @@ class IvfPqIndex final : public VectorIndex
     const RowSource *source_ = nullptr;
     /** Latest monitor load signal (adaptive probe scheduling). */
     double load_ = 0.0;
-    bool trained_ = false;
     std::uint64_t trainings_ = 0;
     /** Inserts since the last training (bounds retrain frequency). */
     std::size_t insertsSinceTrain_ = 0;
     /** Rows present at the last training (growth-retrain baseline). */
     std::size_t trainedSize_ = 0;
-    std::vector<float> centroids_; // nlist * dim_ when trained
+    CoarseQuantizer quantizer_;
     std::vector<float> codebooks_; // pqM * ksub * subDim_ when trained
     /** Raw rows staged before training (single exact list). */
     std::vector<float> staging_;

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "src/common/log.hh"
+#include "src/embedding/coarse_quantizer.hh"
 #include "src/embedding/hnsw_index.hh"
 #include "src/embedding/index.hh"
 #include "src/embedding/ivf_index.hh"
@@ -24,10 +25,10 @@ validateIvfCommon(const RetrievalBackendConfig &c)
 {
     if (c.nlist < 1)
         return "nlist (" + num(c.nlist) + ") must be >= 1";
-    if (c.nlist > IvfIndex::kMaxTrainRows)
+    if (c.nlist > CoarseQuantizer::kMaxTrainRows)
         return "nlist (" + num(c.nlist) +
             ") must be <= the training-sample cap (" +
-            num(IvfIndex::kMaxTrainRows) + ")";
+            num(CoarseQuantizer::kMaxTrainRows) + ")";
     if (c.nprobe < 1)
         return "nprobe (" + num(c.nprobe) + ") must be >= 1";
     if (c.nprobe > c.nlist)

@@ -9,9 +9,7 @@
  * knob rather than an implementation detail. Four backends exist today:
  *
  *  - Flat (FlatIndex, index.hh): exact brute-force scan, optionally
- *    sharded across the thread pool. Bit-for-bit the pre-refactor
- *    CosineIndex behaviour; the default everywhere so existing figures
- *    stay byte-identical.
+ *    sharded across the thread pool. The default everywhere.
  *  - IVF (IvfIndex, ivf_index.hh): inverted-file approximate search
  *    with deterministic seeded k-means coarse clustering and an nprobe
  *    knob. Sub-linear scans at 100k-1M entries at a small recall cost.

@@ -1,6 +1,6 @@
 /**
  * @file
- * Property tests for sharded CosineIndex retrieval: the parallel scan
+ * Property tests for sharded FlatIndex retrieval: the parallel scan
  * must return bit-identical results to the serial scan — same ids, same
  * order, same exact similarity doubles — across the edge sizes (empty,
  * one row, k-1, k) and at the paper's 100k-entry scale, with and
@@ -24,11 +24,11 @@ namespace {
 constexpr std::size_t kK = 8;
 
 /** Build an index of `entries` random unit embeddings. */
-CosineIndex
+FlatIndex
 makeIndex(std::size_t entries, std::size_t dim, std::uint64_t seed)
 {
     Rng rng(seed);
-    CosineIndex index(dim);
+    FlatIndex index(dim);
     for (std::size_t i = 0; i < entries; ++i)
         index.insert(i, Embedding(randomUnitVec(dim, rng)));
     return index;
@@ -36,7 +36,7 @@ makeIndex(std::size_t entries, std::size_t dim, std::uint64_t seed)
 
 /** Serial and sharded scans must agree exactly on every query. */
 void
-expectShardedMatchesSerial(CosineIndex &index, std::size_t dim,
+expectShardedMatchesSerial(FlatIndex &index, std::size_t dim,
                            std::size_t queries, std::uint64_t seed)
 {
     Rng rng(seed);
@@ -117,7 +117,7 @@ TEST(ParallelIndex, DuplicateScoresTieBreakDeterministically)
     // (similarity desc, slot asc) order is all that separates results.
     Rng rng(11);
     const Vec base = randomUnitVec(kEmbeddingDim, rng);
-    CosineIndex index;
+    FlatIndex index;
     for (std::size_t i = 0; i < 64; ++i)
         index.insert(i, Embedding(base));
     expectShardedMatchesSerial(index, kEmbeddingDim, 5, 1111);

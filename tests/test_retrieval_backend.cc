@@ -3,7 +3,7 @@
  * Property tests for the pluggable retrieval-backend seam
  * (vector_index.hh):
  *
- *  - FlatIndex must be bit-identical with the pre-refactor CosineIndex
+ *  - FlatIndex must be bit-identical with the original flat cosine
  *    scan: an in-test reference reimplements the original semantics
  *    (double-accumulated dots, swap-with-last removal, results ordered
  *    by similarity desc then insertion slot asc) and every FlatIndex
@@ -30,7 +30,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -48,12 +47,8 @@
 namespace modm::embedding {
 namespace {
 
-// The historical name must keep compiling against the flat backend.
-static_assert(std::is_same_v<CosineIndex, FlatIndex>,
-              "CosineIndex must alias FlatIndex");
-
 /**
- * Reference reimplementation of the pre-refactor CosineIndex: flat row
+ * Reference reimplementation of the original flat cosine index: flat row
  * storage, swap-with-last removal, serial scan accumulating each dot
  * in double, results ordered by (similarity desc, slot asc). FlatIndex
  * results must match this bit for bit.

@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bench/sweep.hh"
+#include "src/obs/metrics.hh"
 
 using namespace modm;
 
@@ -58,10 +59,11 @@ main()
         {{"", makeBundle}});
     const auto results = bench::runSweep(spec);
 
-    std::vector<std::vector<double>> perMin;
+    // Per-minute completions re-bucketed into 4-minute windows.
+    std::vector<std::vector<double>> perWindow;
     for (const auto &result : results)
-        perMin.push_back(
-            result.metrics.completionsPerMinute(result.duration));
+        perWindow.push_back(obs::groupMeans(
+            result.metrics.completionsPerMinute(result.duration), 4));
 
     Table t({"time (min)", "demand", "Vanilla", "NIRVANA", "MoDM"});
     const std::size_t windows =
@@ -75,14 +77,8 @@ main()
                                            segments.size() - 1)]
                 .ratePerMin,
             0));
-        for (const auto &series : perMin) {
-            double acc = 0.0;
-            for (std::size_t m = win * 4;
-                 m < std::min<std::size_t>((win + 1) * 4, series.size());
-                 ++m)
-                acc += series[m];
-            row.push_back(Table::fmt(acc / 4.0, 1));
-        }
+        for (const auto &series : perWindow)
+            row.push_back(Table::fmt(series[win], 1));
         t.addRow(row);
     }
     t.print("Fig. 17 — throughput under fluctuating request rates "

@@ -240,8 +240,9 @@ TEST(ScenarioFiles, EveryCheckedInScenarioIsAFixpoint)
 TEST(ScenarioFiles, PortedFigureDigestsArePinned)
 {
     // Frozen digests of the two figure ports. A change here means the
-    // scenario's meaning changed — the matching golden (and the legacy
-    // byte-identity claim) must be revisited, not just re-pinned.
+    // scenario's meaning changed — the matching golden, which is the
+    // output of the figure binary the scenario replaced, must be
+    // revisited, not just re-pinned.
     EXPECT_EQ(scenarioDigest(
                   loadScenarioFile(scenarioPath("fig06_hit_rate.scn"))),
               0xea14f86034447e74ULL);

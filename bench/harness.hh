@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared helpers for the figure/table reproduction binaries: workload
- * bundles (warm-up prompts + request trace), standard system line-ups,
+ * bundles (warm-up prompts + request trace), named system configs,
  * and quality evaluation against reference generations.
  *
  * Experiments are scaled down from the paper's 10k-request / 16-GPU
@@ -93,23 +93,6 @@ struct SystemSpec
     std::string name;
     serving::ServingConfig config;
 };
-
-/**
- * The paper's §6 line-up against a given large model: Vanilla,
- * Nirvana, Pinecone, MoDM-SDXL, MoDM-SANA.
- */
-inline std::vector<SystemSpec>
-paperLineup(const diffusion::ModelSpec &large,
-            const baselines::PresetParams &params)
-{
-    return {
-        {"Vanilla", baselines::vanilla(large, params)},
-        {"NIRVANA", baselines::nirvana(large, params)},
-        {"Pinecone", baselines::pinecone(large, params)},
-        {"MoDM-SDXL", baselines::modm(large, diffusion::sdxl(), params)},
-        {"MoDM-SANA", baselines::modm(large, diffusion::sana(), params)},
-    };
-}
 
 /** Run one system over a bundle (fresh system per call). */
 inline serving::ServingResult

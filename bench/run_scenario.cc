@@ -1,7 +1,9 @@
 /**
  * @file
  * Execute any scenario file (scenarios/<name>.scn) through the sweep
- * engine.
+ * engine. A rate list (`rate 3,4,5`) runs every cell once per rate,
+ * rate-major, with cells labelled "<cell>@<rate>"; serving cells go
+ * through bench::runSweep, so MODM_SWEEP_VERIFY=1 cross-checks them.
  *
  * stdout carries exactly the rendered report table — byte-identical
  * across sweep parallelism levels, and byte-identical to the legacy
@@ -138,6 +140,77 @@ renderEnergy(const workload::Scenario &scenario,
 }
 
 void
+renderThroughput(const workload::Scenario &scenario,
+                 const std::vector<workload::ScenarioCell> &cells,
+                 const std::vector<serving::ServingResult> &results)
+{
+    Table t({"system", "throughput/min", "normalized", "paper",
+             "hit rate", "mean k"});
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto &r = results[i];
+        t.addRow({cells[i].label, Table::fmt(r.throughputPerMin),
+                  Table::fmt(r.throughputPerMin /
+                                 results.front().throughputPerMin,
+                             2),
+                  cells[i].paper, Table::fmt(r.hitRate),
+                  Table::fmt(r.metrics.meanK(), 1)});
+    }
+    t.print(tableTitle(scenario));
+}
+
+/** One column family of a by-rate report: header suffix and value. */
+struct RateMetric
+{
+    std::string suffix;
+    std::function<std::string(const workload::ScenarioCell &,
+                              const serving::ServingResult &)>
+        value;
+};
+
+/**
+ * The by-rate pivot: one row per rate of the scenario's rate list,
+ * then for each metric one "<label> <suffix>" column per cell.
+ * `results` are rate-major, as run_scenario expands them.
+ */
+void
+renderByRate(const workload::Scenario &scenario,
+             const std::vector<serving::ServingResult> &results,
+             const std::vector<RateMetric> &metrics)
+{
+    const std::size_t n = scenario.cellCount();
+    std::vector<std::string> headers = {"rate/min"};
+    for (const auto &metric : metrics)
+        for (std::size_t i = 0; i < n; ++i)
+            headers.push_back(scenario.cell(i).label + " " +
+                              metric.suffix);
+    Table t(headers);
+    for (std::size_t r = 0; r < scenario.rates.size(); ++r) {
+        std::vector<std::string> row = {
+            workload::scenarioNumber(scenario.rates[r])};
+        for (const auto &metric : metrics)
+            for (std::size_t i = 0; i < n; ++i)
+                row.push_back(
+                    metric.value(scenario.cell(i), results[r * n + i]));
+        t.addRow(row);
+    }
+    t.print(tableTitle(scenario));
+}
+
+/** SLO violation rate at `factor` x the cell's large-model latency. */
+RateMetric
+sloMetric(const workload::Scenario &scenario, double factor)
+{
+    return {Table::fmt(factor, 0) + "x",
+            [&scenario, factor](const workload::ScenarioCell &cell,
+                                const serving::ServingResult &r) {
+                const auto config =
+                    serving::scenarioCellConfig(scenario, cell);
+                return Table::fmt(r.metrics.sloViolationRate(
+                    factor * config.largeModel.fullLatency(config.gpu)));
+            }};
+}
+
+void
 renderTable(const workload::Scenario &scenario,
             const std::vector<workload::ScenarioCell> &cells,
             const std::vector<serving::ServingResult> &results)
@@ -156,6 +229,33 @@ renderTable(const workload::Scenario &scenario,
                   Table::fmt(r.energyJ / 1e3, 1)});
     }
     t.print(tableTitle(scenario));
+}
+
+void
+renderServing(const workload::Scenario &scenario,
+              const std::vector<workload::ScenarioCell> &cells,
+              const std::vector<serving::ServingResult> &results)
+{
+    switch (scenario.report) {
+      case workload::ScenarioReport::Energy:
+        return renderEnergy(scenario, cells, results);
+      case workload::ScenarioReport::Throughput:
+        return renderThroughput(scenario, cells, results);
+      case workload::ScenarioReport::P99ByRate:
+        return renderByRate(
+            scenario, results,
+            {{"p99 (s)", [](const workload::ScenarioCell &,
+                            const serving::ServingResult &r) {
+                  return Table::fmt(r.metrics.latencyPercentile(99.0),
+                                    0);
+              }}});
+      case workload::ScenarioReport::SloByRate:
+        return renderByRate(scenario, results,
+                            {sloMetric(scenario, 2.0),
+                             sloMetric(scenario, 4.0)});
+      default:
+        return renderTable(scenario, cells, results);
+    }
 }
 
 } // namespace
@@ -198,15 +298,27 @@ main(int argc, char **argv)
         return 0;
     }
 
+    // Rate-major expansion: each rate, then each cell, on a copy of the
+    // scenario holding that one rate (a single rate is one copy with
+    // unchanged labels).
+    const std::vector<double> rates = scenario.rates.empty()
+        ? std::vector<double>{scenario.rate}
+        : scenario.rates;
+    std::vector<workload::Scenario> atRate(rates.size(), scenario);
     std::vector<workload::ScenarioCell> cells;
-    for (std::size_t i = 0; i < scenario.cellCount(); ++i)
-        cells.push_back(scenario.cell(i));
+    for (std::size_t r = 0; r < rates.size(); ++r) {
+        atRate[r].rate = rates[r];
+        atRate[r].rates.clear();
+        for (std::size_t i = 0; i < scenario.cellCount(); ++i) {
+            cells.push_back(scenario.cell(i));
+            if (!scenario.rates.empty())
+                cells.back().label +=
+                    "@" + workload::scenarioNumber(rates[r]);
+        }
+    }
 
     bench::SweepOptions options;
     options.title = sweepTitle(scenario);
-    std::vector<std::string> labels;
-    for (const auto &cell : cells)
-        labels.push_back(cell.label);
 
     // Digest text: scenario digest first, then one line per cell, then
     // a combined digest folding the cell lines over the scenario's.
@@ -214,13 +326,20 @@ main(int argc, char **argv)
         digestLine("scenario " + scenario.name,
                    workload::scenarioDigest(scenario));
     std::uint64_t combined = workload::scenarioDigest(scenario);
+    const auto addCellDigest = [&](std::size_t i, std::uint64_t digest) {
+        const auto line = digestLine("cell " + cells[i].label, digest);
+        digests += line;
+        combined = workload::fnv1a64(line, combined);
+    };
 
     if (scenario.mode == workload::ScenarioMode::CacheStream) {
         if (!traceDir.empty())
             warn("--trace-dir ignored: cache-stream scenarios run no "
                  "event queue");
         std::vector<std::function<std::vector<double>()>> cellFns;
+        std::vector<std::string> labels;
         for (const auto &cell : cells) {
+            labels.push_back(cell.label);
             cellFns.push_back([&scenario, cell] {
                 return serving::runScenarioCacheStream(scenario, cell);
             });
@@ -228,39 +347,30 @@ main(int argc, char **argv)
         const auto curves = bench::runCells<std::vector<double>>(
             cellFns, options, labels);
         renderHitCurve(scenario, cells, curves);
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const auto line =
-                digestLine("cell " + cells[i].label,
-                           curveDigest(curves[i]));
-            digests += line;
-            combined = workload::fnv1a64(line, combined);
-        }
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            addCellDigest(i, curveDigest(curves[i]));
     } else {
-        std::vector<std::function<serving::ServingResult()>> cellFns;
-        for (const auto &cell : cells) {
-            obs::TraceConfig trace;
+        bench::SweepSpec spec;
+        spec.options = options;
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            const auto &cellScn = atRate[i / scenario.cellCount()];
+            auto config = serving::scenarioCellConfig(cellScn, cells[i]);
             if (!traceDir.empty()) {
-                trace.events = true;
-                trace.path = traceDir + "/" + scenario.name + "-" +
-                    fileLabel(cell.label) + ".mtrace";
+                config.trace.events = true;
+                config.trace.path = traceDir + "/" + scenario.name + "-" +
+                    fileLabel(cells[i].label) + ".mtrace";
             }
-            cellFns.push_back([&scenario, cell, trace] {
-                return serving::runScenarioCell(scenario, cell, trace);
+            spec.add(cells[i].label, std::move(config), [&cellScn] {
+                auto workload = workload::buildScenarioWorkload(cellScn);
+                return bench::WorkloadBundle{"", std::move(workload.warm),
+                                             std::move(workload.trace)};
             });
         }
-        const auto results = bench::runCells<serving::ServingResult>(
-            cellFns, options, labels);
-        if (scenario.report == workload::ScenarioReport::Energy)
-            renderEnergy(scenario, cells, results);
-        else
-            renderTable(scenario, cells, results);
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const auto line = digestLine(
-                "cell " + cells[i].label,
-                workload::fnv1a64(serving::resultDigest(results[i])));
-            digests += line;
-            combined = workload::fnv1a64(line, combined);
-        }
+        const auto results = bench::runSweep(spec);
+        renderServing(scenario, cells, results);
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            addCellDigest(
+                i, workload::fnv1a64(serving::resultDigest(results[i])));
     }
     digests += digestLine("combined", combined);
 

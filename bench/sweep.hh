@@ -20,10 +20,13 @@
  * unchanged figure binary replays its cells instead of recomputing
  * them (see ablation_retrieval_backend for the wiring pattern).
  *
- * Environment knobs (so CI can pin determinism without rebuilding):
+ * Environment knobs (so CI can pin determinism without rebuilding).
+ * Unset or empty leaves the default; a value outside the ones listed
+ * is a fatal() naming the variable, never a silent fallback.
  *   MODM_SWEEP_PARALLELISM  0 = match the pool (default), 1 = serial,
  *                           N = at most N cells in flight.
- *   MODM_SWEEP_PROGRESS     0 silences the stderr progress lines.
+ *   MODM_SWEEP_PROGRESS     0 silences the stderr progress lines,
+ *                           1 forces them on.
  *   MODM_SWEEP_CACHE        1 enables the persistent cell cache
  *                           (default off: determinism CI must
  *                           recompute, not replay).
@@ -42,6 +45,8 @@
 #define MODM_BENCH_SWEEP_HH
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -78,27 +83,28 @@ struct SweepOptions
 inline std::size_t
 resolveSweepParallelism(const SweepOptions &options)
 {
-    if (const char *env = std::getenv("MODM_SWEEP_PARALLELISM")) {
-        const long v = std::atol(env);
-        if (v == 0)
-            return ThreadPool::global().concurrency();
-        if (v >= 1)
-            return static_cast<std::size_t>(v);
+    std::size_t parallelism = options.parallelism;
+    const char *env = std::getenv("MODM_SWEEP_PARALLELISM");
+    if (env != nullptr && env[0] != '\0') {
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long long v = std::strtoull(env, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(env[0])) ||
+            *end != '\0' || errno != 0)
+            fatal("MODM_SWEEP_PARALLELISM must be a non-negative "
+                  "integer, got '%s'",
+                  env);
+        parallelism = static_cast<std::size_t>(v);
     }
-    if (options.parallelism == 0)
-        return ThreadPool::global().concurrency();
-    return options.parallelism;
+    return parallelism == 0 ? ThreadPool::global().concurrency()
+                            : parallelism;
 }
 
 /** Effective progress flag after env override. */
 inline bool
 resolveSweepProgress(const SweepOptions &options)
 {
-    if (const char *env = std::getenv("MODM_SWEEP_PROGRESS")) {
-        if (env[0] == '0' && env[1] == '\0')
-            return false;
-    }
-    return options.progress;
+    return envSwitch("MODM_SWEEP_PROGRESS", options.progress);
 }
 
 /**
@@ -239,8 +245,7 @@ struct SweepSpec
 inline bool
 resolveSweepVerify()
 {
-    const char *env = std::getenv("MODM_SWEEP_VERIFY");
-    return env != nullptr && env[0] == '1' && env[1] == '\0';
+    return envSwitch("MODM_SWEEP_VERIFY", false);
 }
 
 /**
@@ -279,6 +284,13 @@ verifySweep(const SweepSpec &spec,
               "(%zu of %zu)",
               cell.label.c_str(), i + 1, spec.cells.size());
     }
+    if (resolveSweepProgress(spec.options))
+        std::fprintf(stderr, "[%s] verified: %zu cells match their serial "
+                     "re-runs\n",
+                     spec.options.title.empty()
+                         ? "sweep"
+                         : spec.options.title.c_str(),
+                     spec.cells.size());
 }
 
 /**

@@ -64,12 +64,26 @@ fnv1a64(const void *data, std::size_t n,
     return h;
 }
 
+/**
+ * A 0/1 environment switch: unset or empty yields `fallback`, "0" and
+ * "1" switch off and on; any other value is a fatal() naming `name`.
+ */
+inline bool
+envSwitch(const char *name, bool fallback)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr || env[0] == '\0')
+        return fallback;
+    if (std::strcmp(env, "0") != 0 && std::strcmp(env, "1") != 0)
+        fatal("%s must be 0 or 1, got '%s'", name, env);
+    return env[0] == '1';
+}
+
 /** True when MODM_SWEEP_CACHE=1 enables the cell cache. */
 inline bool
 sweepCacheEnabled()
 {
-    const char *env = std::getenv("MODM_SWEEP_CACHE");
-    return env != nullptr && std::strcmp(env, "1") == 0;
+    return envSwitch("MODM_SWEEP_CACHE", false);
 }
 
 /** Cache directory (MODM_SWEEP_CACHE_DIR, default build/sweep-cache). */

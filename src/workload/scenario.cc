@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <set>
@@ -95,6 +96,9 @@ const EnumTok<ScenarioReport> kReports[] = {
     {ScenarioReport::Table, "table"},
     {ScenarioReport::HitCurve, "hit-curve"},
     {ScenarioReport::Energy, "energy"},
+    {ScenarioReport::Throughput, "throughput"},
+    {ScenarioReport::P99ByRate, "p99-by-rate"},
+    {ScenarioReport::SloByRate, "slo-by-rate"},
 };
 
 const EnumTok<ScenarioFault> kFaultVerbs[] = {
@@ -146,9 +150,11 @@ enumChoices(const EnumTok<E> (&table)[N])
 // Scalar formatting / parsing.
 // ---------------------------------------------------------------------
 
+} // namespace
+
 /** Shortest %g form that parses back to the exact same double. */
 std::string
-fmtDouble(double value)
+scenarioNumber(double value)
 {
     char buf[64];
     // Integral values print as plain integers ("2500", never
@@ -165,6 +171,8 @@ fmtDouble(double value)
     }
     return buf;
 }
+
+namespace {
 
 std::string
 fmtU64(std::uint64_t value)
@@ -469,27 +477,27 @@ paramValueToken(const ScenarioParams &params, const std::string &key)
 std::string
 opLine(const ScenarioOp &op)
 {
-    std::string out = "at " + fmtDouble(op.time) + " ";
+    std::string out = "at " + scenarioNumber(op.time) + " ";
     switch (op.kind) {
       case ScenarioOp::Kind::Rate:
-        return out + "rate " + fmtDouble(op.rate);
+        return out + "rate " + scenarioNumber(op.rate);
       case ScenarioOp::Kind::Ramp:
-        return out + "ramp to " + fmtDouble(op.rate) + " over " +
-               fmtDouble(op.duration) + " steps " + fmtU64(op.steps);
+        return out + "ramp to " + scenarioNumber(op.rate) + " over " +
+               scenarioNumber(op.duration) + " steps " + fmtU64(op.steps);
       case ScenarioOp::Kind::Flash:
-        return out + "flash x" + fmtDouble(op.factor) + " for " +
-               fmtDouble(op.duration);
+        return out + "flash x" + scenarioNumber(op.factor) + " for " +
+               scenarioNumber(op.duration);
       case ScenarioOp::Kind::Diurnal:
-        return out + "diurnal base " + fmtDouble(op.base) + " amp " +
-               fmtDouble(op.amplitude) + " period " +
-               fmtDouble(op.period) + " for " + fmtDouble(op.duration) +
-               " steps " + fmtU64(op.steps);
+        return out + "diurnal base " + scenarioNumber(op.base) + " amp " +
+               scenarioNumber(op.amplitude) + " period " +
+               scenarioNumber(op.period) + " for " +
+               scenarioNumber(op.duration) + " steps " + fmtU64(op.steps);
       case ScenarioOp::Kind::Drift:
         return out + "drift to seed " + fmtU64(op.driftSeed) + " over " +
-               fmtDouble(op.duration);
+               scenarioNumber(op.duration);
       case ScenarioOp::Kind::Region:
         return out + "region " + fmtU64(op.region) + " weight " +
-               fmtDouble(op.weight);
+               scenarioNumber(op.weight);
       case ScenarioOp::Kind::Fault:
         return out + enumToken(kFaultVerbs, op.fault) + " " +
                fmtU64(op.node);
@@ -567,7 +575,8 @@ class Parser
     int lineNo_ = 0;
     int scenarioLine_ = 1;
     Section section_ = Section::Header;
-    std::set<std::string> seenKeys_;
+    /** Source line of each header directive seen so far. */
+    std::map<std::string, int> keyLines_;
     bool sawRequests_ = false;
     bool sawDuration_ = false;
     std::string error_;
@@ -627,7 +636,7 @@ bool
 Parser::handleHeader(const std::vector<Tok> &toks)
 {
     const std::string &key = toks[0].text;
-    if (!seenKeys_.insert(key).second)
+    if (!keyLines_.emplace(key, lineNo_).second)
         return fail("duplicate directive '" + key + "'");
     if (toks.size() != 2 && (key != "retrieval" || toks.size() < 2))
         return fail("directive '" + key + "' expects exactly one value");
@@ -704,9 +713,30 @@ Parser::handleHeader(const std::vector<Tok> &toks)
         return true;
     }
     if (key == "rate") {
-        if (!parseDouble(value, out_.rate) || out_.rate < 0.0)
-            return fail("rate must be >= 0 requests/minute, got '" +
-                        value + "'");
+        if (value.find(',') == std::string::npos) {
+            if (!parseDouble(value, out_.rate) || out_.rate < 0.0)
+                return fail("rate must be >= 0 requests/minute, got '" +
+                            value + "'");
+            return true;
+        }
+        std::size_t start = 0;
+        while (start <= value.size()) {
+            const std::size_t comma = std::min(value.find(',', start),
+                                               value.size());
+            const std::string item = value.substr(start, comma - start);
+            double rate = 0.0;
+            if (!parseDouble(item, rate) || rate <= 0.0)
+                return fail("rate list entries must be > 0 "
+                            "requests/minute, got '" +
+                            item + "'");
+            if (!out_.rates.empty() && rate <= out_.rates.back())
+                return fail("rate list must be strictly increasing, "
+                            "got '" +
+                            value + "'");
+            out_.rates.push_back(rate);
+            start = comma + 1;
+        }
+        out_.rate = out_.rates.front();
         return true;
     }
     if (key == "window") {
@@ -758,9 +788,9 @@ Parser::handleOp(const std::vector<Tok> &toks)
         return fail("op time must be >= 0 seconds, got '" +
                     toks[1].text + "'");
     if (!out_.ops.empty() && op.time < out_.ops.back().time)
-        return fail("op at t=" + fmtDouble(op.time) +
+        return fail("op at t=" + scenarioNumber(op.time) +
                     " precedes the previous op at t=" +
-                    fmtDouble(out_.ops.back().time) +
+                    scenarioNumber(out_.ops.back().time) +
                     " (ops must be time-ordered)");
 
     const std::string &verb = toks[2].text;
@@ -981,6 +1011,25 @@ Parser::validate()
         return failAt(scenarioLine_,
                       "scenario needs a requests or duration directive");
 
+    // A rate list sweeps one fixed trace shape over several rates, so
+    // it takes nothing that already varies the rate or the trace.
+    if (!out_.rates.empty()) {
+        const int line = keyLines_.at("rate");
+        if (out_.mode == ScenarioMode::CacheStream)
+            return failAt(line, "cache-stream scenarios take no rate list");
+        if (sawDuration_)
+            return failAt(line, "a rate list needs requests, not duration");
+        if (!out_.ops.empty())
+            return failAt(out_.ops.front().line,
+                          "ops cannot be combined with a rate list");
+    } else if (out_.report == ScenarioReport::P99ByRate ||
+               out_.report == ScenarioReport::SloByRate) {
+        return failAt(keyLines_.at("report"),
+                      std::string("report ") +
+                          enumToken(kReports, out_.report) +
+                          " needs a rate list (rate <r1>,<r2>,...)");
+    }
+
     if (out_.mode == ScenarioMode::CacheStream) {
         if (!out_.ops.empty())
             return failAt(out_.ops.front().line,
@@ -1039,7 +1088,7 @@ Parser::validateArrivalOps()
             return failAt(op.line,
                           "rate op inside the previous shaped window "
                           "(which ends at t=" +
-                              fmtDouble(shapedUntil) + ")");
+                              scenarioNumber(shapedUntil) + ")");
         if (op.kind != ScenarioOp::Kind::Rate)
             shapedUntil = op.time + op.duration;
     }
@@ -1280,8 +1329,15 @@ printScenario(const Scenario &scenario, std::ostream &out)
     if (scenario.requests > 0)
         out << "requests " << fmtU64(scenario.requests) << "\n";
     else
-        out << "duration " << fmtDouble(scenario.duration) << "\n";
-    out << "rate " << fmtDouble(scenario.rate) << "\n";
+        out << "duration " << scenarioNumber(scenario.duration) << "\n";
+    out << "rate ";
+    if (scenario.rates.empty()) {
+        out << scenarioNumber(scenario.rate);
+    } else {
+        for (std::size_t i = 0; i < scenario.rates.size(); ++i)
+            out << (i ? "," : "") << scenarioNumber(scenario.rates[i]);
+    }
+    out << "\n";
     out << "window " << fmtU64(scenario.window) << "\n";
     out << "sampler-seed " << fmtU64(scenario.samplerSeed) << "\n";
     out << "recovery-window " << fmtU64(scenario.recoveryWindow) << "\n";

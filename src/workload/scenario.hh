@@ -118,6 +118,9 @@ enum class ScenarioReport
     Table,    ///< generic serving table, one row per cell
     HitCurve, ///< windowed hit-rate curve, one column per cell
     Energy,   ///< energy/request vs the first cell (Fig. 18 format)
+    Throughput, ///< throughput normalized to the first cell (Figs. 7/8)
+    P99ByRate,  ///< p99 latency, one row per rate (Fig. 16)
+    SloByRate,  ///< 2x / 4x SLO violation rate per rate (Figs. 12/13)
 };
 
 /** Scripted node fault (mirrors serving::FaultKind). */
@@ -244,6 +247,13 @@ struct Scenario
     double duration = 0.0;
     /** Base Poisson rate (requests/minute); 0 = batch (all at t=0). */
     double rate = 0.0;
+    /**
+     * Rate sweep axis (`rate 3,4,5`): two or more strictly increasing
+     * positive rates, `rate` holding the first; empty for a single
+     * rate. run_scenario runs every cell once per rate, rate-major, on
+     * a copy of the scenario whose `rate` is that one value.
+     */
+    std::vector<double> rates;
     /** Hit-rate report window, in requests (CacheStream / HitCurve). */
     std::size_t window = 2000;
     /** Sampler seed of the CacheStream substrate (Fig. 6 uses 7). */
@@ -302,6 +312,9 @@ std::string canonicalScenario(const Scenario &scenario);
 
 /** Write the canonical serialization. */
 void printScenario(const Scenario &scenario, std::ostream &out);
+
+/** Canonical spelling of a number in scenario text ("5", "2.5"). */
+std::string scenarioNumber(double value);
 
 /** FNV-1a 64-bit hash (the digest primitive, exposed for reuse). */
 std::uint64_t fnv1a64(std::string_view data,

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -203,6 +205,69 @@ TEST(ScenarioParse, RejectsInvalidOps)
               std::string::npos);
 }
 
+TEST(ScenarioRateList, RoundTripsCanonically)
+{
+    const auto scenario = parseOk("scenario sweep\n"
+                                  "requests 80\n"
+                                  "rate 2.5,4,10\n"
+                                  "report p99-by-rate\n");
+    EXPECT_EQ(scenario.rates, (std::vector<double>{2.5, 4.0, 10.0}));
+    EXPECT_EQ(scenario.rate, 2.5);
+    EXPECT_EQ(scenario.report, ScenarioReport::P99ByRate);
+    const auto canonical = canonicalScenario(scenario);
+    EXPECT_NE(canonical.find("\nrate 2.5,4,10\n"), std::string::npos)
+        << canonical;
+    EXPECT_EQ(canonicalScenario(parseOk(canonical)), canonical);
+
+    // A one-element list is a plain rate: no sweep axis, and the
+    // digest the scalar form had before rate lists existed.
+    const auto single = parseOk("scenario one\nrequests 80\nrate 10\n");
+    EXPECT_TRUE(single.rates.empty());
+    EXPECT_EQ(single.rate, 10.0);
+    EXPECT_EQ(scenarioDigest(single), 0x58701a1fe57edb9aULL);
+    EXPECT_NE(scenarioDigest(single),
+              scenarioDigest(parseOk("scenario one\nrequests 80\n"
+                                     "rate 10,11\n")));
+}
+
+TEST(ScenarioRateList, RejectionsCarryFileAndLine)
+{
+    Scenario out;
+    const auto expectError = [&](const std::string &text,
+                                 const std::string &where,
+                                 const std::string &what) {
+        const auto err = parseText(text, out);
+        EXPECT_EQ(err.rfind(where, 0), 0u) << err;
+        EXPECT_NE(err.find(what), std::string::npos) << err;
+    };
+    expectError("scenario s\nrequests 10\nrate 3,0,5\n", "test.scn:3:",
+                "entries must be > 0");
+    expectError("scenario s\nrequests 10\nrate 3,-1\n", "test.scn:3:",
+                "entries must be > 0");
+    expectError("scenario s\nrequests 10\nrate 3,\n", "test.scn:3:",
+                "entries must be > 0");
+    expectError("scenario s\nrequests 10\nrate 3,5,5\n", "test.scn:3:",
+                "strictly increasing");
+    expectError("scenario s\nrequests 10\nrate 5,3\n", "test.scn:3:",
+                "strictly increasing");
+    expectError("scenario s\nrequests 10\nrate 3,5\n\n"
+                "at 10 rate 8\n",
+                "test.scn:5:", "ops cannot be combined");
+    expectError("scenario s\nrequests 10\nrate 3,5\nnodes 2\n\n"
+                "at 10 kill 1\n",
+                "test.scn:6:", "ops cannot be combined");
+    expectError("scenario s\nduration 600\nrate 3,5\n", "test.scn:3:",
+                "needs requests, not duration");
+    expectError("scenario s\nmode cache-stream\nrequests 10\n"
+                "rate 3,5\nreport hit-curve\n",
+                "test.scn:4:", "cache-stream scenarios take no rate list");
+    expectError("scenario s\nrequests 10\nrate 5\n"
+                "report p99-by-rate\n",
+                "test.scn:4:", "p99-by-rate needs a rate list");
+    expectError("scenario s\nrequests 10\nreport slo-by-rate\n",
+                "test.scn:3:", "slo-by-rate needs a rate list");
+}
+
 TEST(ScenarioParseDeath, LoadOrDieReportsFileAndLine)
 {
     std::istringstream in("scenario s\nrequests 10\nat 1 explode 2\n");
@@ -210,26 +275,30 @@ TEST(ScenarioParseDeath, LoadOrDieReportsFileAndLine)
                  "bad.scn:3: unknown op");
 }
 
-/** Every checked-in scenario file, relative to MODM_SCENARIO_DIR. */
-const char *const kCheckedInScenarios[] = {
-    "fig06_hit_rate.scn",   "fig18_energy.scn",
-    "steady_state.scn",     "flash_crowd.scn",
-    "diurnal.scn",          "topic_drift.scn",
-    "regional_skew.scn",    "failover_killmid.scn",
-    "cache_eviction.scn",   "retrieval_backends.scn",
-};
-
 std::string
 scenarioPath(const std::string &name)
 {
     return std::string(MODM_SCENARIO_DIR) + "/" + name;
 }
 
+/** Stems of the files in `dir` with extension `ext`, sorted. */
+std::set<std::string>
+stemsIn(const std::string &dir, const std::string &ext)
+{
+    std::set<std::string> stems;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        if (entry.path().extension() == ext)
+            stems.insert(entry.path().stem().string());
+    return stems;
+}
+
 TEST(ScenarioFiles, EveryCheckedInScenarioIsAFixpoint)
 {
-    for (const char *name : kCheckedInScenarios) {
+    const auto names = stemsIn(MODM_SCENARIO_DIR, ".scn");
+    ASSERT_FALSE(names.empty());
+    for (const auto &name : names) {
         SCOPED_TRACE(name);
-        const auto scenario = loadScenarioFile(scenarioPath(name));
+        const auto scenario = loadScenarioFile(scenarioPath(name + ".scn"));
         const auto canonical = canonicalScenario(scenario);
         const auto reparsed = parseOk(canonical);
         EXPECT_EQ(canonicalScenario(reparsed), canonical);
@@ -237,18 +306,44 @@ TEST(ScenarioFiles, EveryCheckedInScenarioIsAFixpoint)
     }
 }
 
+TEST(ScenarioFiles, EveryScenarioHasGoldensAndNoGoldenIsOrphaned)
+{
+    // The scenario-goldens CI job diffs every scenario's stdout and
+    // digests against goldens/<name>.{txt,digest}; both sets must
+    // name exactly the checked-in scenarios.
+    const auto names = stemsIn(MODM_SCENARIO_DIR, ".scn");
+    const std::string goldens = scenarioPath("goldens");
+    EXPECT_EQ(stemsIn(goldens, ".txt"), names);
+    EXPECT_EQ(stemsIn(goldens, ".digest"), names);
+    for (const auto &entry : std::filesystem::directory_iterator(goldens))
+        EXPECT_TRUE(entry.path().extension() == ".txt" ||
+                    entry.path().extension() == ".digest")
+            << entry.path();
+}
+
 TEST(ScenarioFiles, PortedFigureDigestsArePinned)
 {
-    // Frozen digests of the two figure ports. A change here means the
+    // Frozen digests of the figure ports. A change here means the
     // scenario's meaning changed — the matching golden, which is the
     // output of the figure binary the scenario replaced, must be
     // revisited, not just re-pinned.
-    EXPECT_EQ(scenarioDigest(
-                  loadScenarioFile(scenarioPath("fig06_hit_rate.scn"))),
-              0xea14f86034447e74ULL);
-    EXPECT_EQ(scenarioDigest(
-                  loadScenarioFile(scenarioPath("fig18_energy.scn"))),
-              0xf09cbd0285e74bccULL);
+    const std::pair<const char *, std::uint64_t> kPinned[] = {
+        {"fig06_hit_rate", 0xea14f86034447e74ULL},
+        {"fig07_diffusiondb", 0xa7fa5f822d4d0452ULL},
+        {"fig07_mjhq", 0x5c3def68329d4729ULL},
+        {"fig08_flux", 0xbe8e513aaafb929bULL},
+        {"fig12_13_a40", 0xf2c4829ef0897e32ULL},
+        {"fig12_13_mi210", 0x70ac54536032ce35ULL},
+        {"fig16_a40", 0x5accb6aa6aef1867ULL},
+        {"fig16_mi210", 0x0ccf054ae0878d6aULL},
+        {"fig18_energy", 0xf09cbd0285e74bccULL},
+    };
+    for (const auto &[name, digest] : kPinned) {
+        SCOPED_TRACE(name);
+        EXPECT_EQ(scenarioDigest(loadScenarioFile(
+                      scenarioPath(std::string(name) + ".scn"))),
+                  digest);
+    }
 }
 
 TEST(ScenarioWorkloadEquivalence, BatchMatchesLegacyBatchBundle)

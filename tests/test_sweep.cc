@@ -391,12 +391,48 @@ TEST(Sweep, EnvOverridesOptions)
                   ThreadPool::global().concurrency());
     }
     {
-        // No env: the options value wins.
-        ScopedSweepEnv env(nullptr);
-        SweepOptions options;
-        options.parallelism = 5;
-        EXPECT_EQ(resolveSweepParallelism(options), 5u);
+        // No env, or an empty one: the options value wins.
+        for (const char *unset : {static_cast<const char *>(nullptr), ""}) {
+            ScopedSweepEnv env(unset);
+            env.set("MODM_SWEEP_PROGRESS", "");
+            SweepOptions options;
+            options.parallelism = 5;
+            EXPECT_EQ(resolveSweepParallelism(options), 5u);
+            EXPECT_TRUE(resolveSweepProgress(options));
+        }
     }
+    {
+        ScopedSweepEnv env("12");
+        env.set("MODM_SWEEP_PROGRESS", "1");
+        env.set("MODM_SWEEP_VERIFY", "1");
+        env.set("MODM_SWEEP_CACHE", "0");
+        SweepOptions options;
+        options.progress = false;
+        EXPECT_EQ(resolveSweepParallelism(options), 12u);
+        EXPECT_TRUE(resolveSweepProgress(options));
+        EXPECT_TRUE(resolveSweepVerify());
+        EXPECT_FALSE(sweepCacheEnabled());
+    }
+}
+
+TEST(SweepDeath, MalformedEnvKnobsNameTheVariable)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const SweepOptions options;
+    for (const char *bad : {"abc", "-2", "4x", " 4", "1.5"}) {
+        SCOPED_TRACE(bad);
+        ScopedSweepEnv env(bad);
+        EXPECT_DEATH(resolveSweepParallelism(options),
+                     "MODM_SWEEP_PARALLELISM");
+    }
+    ScopedSweepEnv env(nullptr);
+    env.set("MODM_SWEEP_PROGRESS", "false");
+    EXPECT_DEATH(resolveSweepProgress(options), "MODM_SWEEP_PROGRESS");
+    env.set("MODM_SWEEP_PROGRESS", "0");
+    env.set("MODM_SWEEP_VERIFY", "true");
+    EXPECT_DEATH(resolveSweepVerify(), "MODM_SWEEP_VERIFY");
+    env.set("MODM_SWEEP_CACHE", "yes");
+    EXPECT_DEATH(sweepCacheEnabled(), "MODM_SWEEP_CACHE");
 }
 
 } // namespace

@@ -85,12 +85,17 @@ main()
     t.print("Fig. 10 — throughput under increasing request rate "
             "(16x MI210, demand 6->26/min)");
 
-    // MoDM's small-model switch (the SDXL -> SANA escalation).
+    // MoDM's small-model switch (the SDXL -> SANA escalation): every
+    // 5th snapshot, the last one, and every snapshot whose small model
+    // differs from the previous one, so no switch goes unseen.
     Table alloc({"time (min)", "num large", "small model"});
     const auto &modm = results.back();
     for (std::size_t i = 0; i < modm.allocations.size(); ++i) {
         const auto &snap = modm.allocations[i];
-        if (i % 5 == 0 || i + 1 == modm.allocations.size()) {
+        const bool switched = i > 0 &&
+            snap.smallModelIndex !=
+                modm.allocations[i - 1].smallModelIndex;
+        if (i % 5 == 0 || i + 1 == modm.allocations.size() || switched) {
             alloc.addRow({Table::fmt(snap.time / 60.0, 0),
                           Table::fmt(static_cast<std::uint64_t>(
                               snap.numLarge)),

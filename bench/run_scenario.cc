@@ -4,14 +4,15 @@
  * engine. A rate list (`rate 3,4,5`) runs every cell once per rate,
  * rate-major, with cells labelled "<cell>@<rate>"; serving cells go
  * through bench::runSweep, so MODM_SWEEP_VERIFY=1 cross-checks them.
+ * A quality report then scores each cell's images in a second sweep.
  *
  * stdout carries exactly the rendered report table — byte-identical
  * across sweep parallelism levels, and byte-identical to the legacy
- * hard-coded figure binary for the scenarios that port one (pinned by
- * the scenario-goldens CI job). Digests (the scenario's semantic digest
- * plus one result digest per cell) go to stderr and, with
- * --digest-out, to a file the CI job diffs against the checked-in
- * golden.
+ * hard-coded figure, table or ablation binary for the scenarios that
+ * port one (pinned by the scenario-goldens CI job). Digests (the
+ * scenario's semantic digest plus one result digest per cell) go to
+ * stderr and, with --digest-out, to a file the CI job diffs against
+ * the checked-in golden.
  *
  * Usage: run_scenario <file.scn> [--digest-out <path>] [--canonical]
  *                     [--trace-dir <dir>]
@@ -74,17 +75,17 @@ fileLabel(const std::string &label)
     return out;
 }
 
-/** Hex-float digest of a hit-rate curve (resultDigest convention). */
-std::uint64_t
-curveDigest(const std::vector<double> &curve)
+/** Hex-float lines of `values` (the resultDigest convention). */
+std::string
+hexLines(const std::vector<double> &values)
 {
     std::string text;
     char buf[64];
-    for (const double v : curve) {
+    for (const double v : values) {
         std::snprintf(buf, sizeof buf, "%a\n", v);
         text += buf;
     }
-    return workload::fnv1a64(text);
+    return text;
 }
 
 /** One "key value" digest line in the canonical %016llx format. */
@@ -100,19 +101,41 @@ digestLine(const std::string &key, std::uint64_t digest)
 void
 renderHitCurve(const workload::Scenario &scenario,
                const std::vector<workload::ScenarioCell> &cells,
-               const std::vector<std::vector<double>> &curves)
+               const std::vector<serving::CacheStreamResult> &results)
 {
     std::vector<std::string> headers = {"requests"};
     for (const auto &cell : cells)
         headers.push_back("hit rate (" + cell.label + ")");
     Table t(headers);
-    const std::size_t rows = curves.empty() ? 0 : curves.front().size();
+    const std::size_t rows =
+        results.empty() ? 0 : results.front().curve.size();
     for (std::size_t i = 0; i < rows; ++i) {
         std::vector<std::string> row = {Table::fmt(
             static_cast<std::uint64_t>((i + 1) * scenario.window))};
-        for (const auto &curve : curves)
-            row.push_back(Table::fmt(curve[i], 3));
+        for (const auto &r : results)
+            row.push_back(Table::fmt(r.curve[i], 3));
         t.addRow(row);
+    }
+    t.print(tableTitle(scenario));
+}
+
+/** Whole-stream hit rate, similarity and reuse per eviction policy. */
+void
+renderReuse(const workload::Scenario &scenario,
+            const std::vector<workload::ScenarioCell> &cells,
+            const std::vector<serving::CacheStreamResult> &results)
+{
+    Table t({"policy", "hit rate", "mean similarity",
+             "max reuse of one entry"});
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto &r = results[i];
+        const auto hits = static_cast<double>(r.hits);
+        t.addRow({cache::policyName(
+                      serving::scenarioCellConfig(scenario, cells[i])
+                          .cachePolicy),
+                  Table::fmt(hits / scenario.requests, 3),
+                  Table::fmt(r.hits ? r.similaritySum / hits : 0.0, 3),
+                  Table::fmt(r.maxReuse)});
     }
     t.print(tableTitle(scenario));
 }
@@ -210,6 +233,53 @@ sloMetric(const workload::Scenario &scenario, double factor)
             }};
 }
 
+/** Image quality per cell; `paper=<clip>,<fid>` fills the last two. */
+void
+renderQuality(const workload::Scenario &scenario,
+              const std::vector<workload::ScenarioCell> &cells,
+              const std::vector<eval::QualityReport> &reports)
+{
+    Table t({"baseline", "CLIP", "FID", "IS", "Pick", "paper CLIP",
+             "paper FID"});
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto &q = reports[i];
+        const auto &paper = cells[i].paper;
+        const auto comma = paper.find(',');
+        t.addRow({cells[i].label, Table::fmt(q.clip), Table::fmt(q.fid),
+                  Table::fmt(q.is), Table::fmt(q.pick),
+                  paper.substr(0, comma),
+                  comma == std::string::npos ? ""
+                                             : paper.substr(comma + 1)});
+    }
+    t.print(tableTitle(scenario));
+}
+
+/** Cluster shape (nodes, routing, partitioning) and what it costs. */
+void
+renderCluster(const workload::Scenario &scenario,
+              const std::vector<workload::ScenarioCell> &cells,
+              const std::vector<serving::ServingResult> &results)
+{
+    Table t({"nodes", "routing", "cache", "hit rate", "throughput/min",
+             "p99 latency s", "load imbalance", "hit-rate spread"});
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto &r = results[i];
+        const auto cluster =
+            serving::scenarioCellConfig(scenario, cells[i]).cluster;
+        t.addRow({Table::fmt(static_cast<std::uint64_t>(
+                      cluster.numNodes)),
+                  serving::routingPolicyName(cluster.routing),
+                  serving::cachePartitioningName(
+                      cluster.cachePartitioning),
+                  Table::fmt(r.hitRate, 3),
+                  Table::fmt(r.throughputPerMin, 1),
+                  Table::fmt(r.metrics.latencyPercentile(99.0), 1),
+                  Table::fmt(r.loadImbalance, 2),
+                  Table::fmt(r.hitRateSpread, 3)});
+    }
+    t.print(tableTitle(scenario));
+}
+
 void
 renderTable(const workload::Scenario &scenario,
             const std::vector<workload::ScenarioCell> &cells,
@@ -253,6 +323,8 @@ renderServing(const workload::Scenario &scenario,
         return renderByRate(scenario, results,
                             {sloMetric(scenario, 2.0),
                              sloMetric(scenario, 4.0)});
+      case workload::ScenarioReport::Cluster:
+        return renderCluster(scenario, cells, results);
       default:
         return renderTable(scenario, cells, results);
     }
@@ -332,29 +404,46 @@ main(int argc, char **argv)
         combined = workload::fnv1a64(line, combined);
     };
 
+    std::vector<std::string> labels;
+    for (const auto &cell : cells)
+        labels.push_back(cell.label);
+
     if (scenario.mode == workload::ScenarioMode::CacheStream) {
         if (!traceDir.empty())
             warn("--trace-dir ignored: cache-stream scenarios run no "
                  "event queue");
-        std::vector<std::function<std::vector<double>()>> cellFns;
-        std::vector<std::string> labels;
-        for (const auto &cell : cells) {
-            labels.push_back(cell.label);
+        std::vector<std::function<serving::CacheStreamResult()>> cellFns;
+        for (const auto &cell : cells)
             cellFns.push_back([&scenario, cell] {
                 return serving::runScenarioCacheStream(scenario, cell);
             });
+        const auto streams = bench::runCells(std::move(cellFns), options,
+                                             labels);
+        if (scenario.report == workload::ScenarioReport::Reuse)
+            renderReuse(scenario, cells, streams);
+        else
+            renderHitCurve(scenario, cells, streams);
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            // Hit-curve digests (Fig. 6) predate the whole-stream stats.
+            const auto &r = streams[i];
+            auto text = hexLines(r.curve);
+            if (scenario.report == workload::ScenarioReport::Reuse)
+                text += hexLines({static_cast<double>(r.hits),
+                                  r.similaritySum,
+                                  static_cast<double>(r.maxReuse)});
+            addCellDigest(i, workload::fnv1a64(text));
         }
-        const auto curves = bench::runCells<std::vector<double>>(
-            cellFns, options, labels);
-        renderHitCurve(scenario, cells, curves);
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            addCellDigest(i, curveDigest(curves[i]));
     } else {
+        // The quality report scores the served images, so its cells
+        // keep them.
+        const bool quality =
+            scenario.report == workload::ScenarioReport::Quality;
         bench::SweepSpec spec;
         spec.options = options;
         for (std::size_t i = 0; i < cells.size(); ++i) {
             const auto &cellScn = atRate[i / scenario.cellCount()];
             auto config = serving::scenarioCellConfig(cellScn, cells[i]);
+            config.keepOutputs = quality;
             if (!traceDir.empty()) {
                 config.trace.events = true;
                 config.trace.path = traceDir + "/" + scenario.name + "-" +
@@ -367,10 +456,31 @@ main(int argc, char **argv)
             });
         }
         const auto results = bench::runSweep(spec);
-        renderServing(scenario, cells, results);
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            addCellDigest(
-                i, workload::fnv1a64(serving::resultDigest(results[i])));
+        std::vector<eval::QualityReport> reports;
+        if (quality) {
+            // Score every cell against reference generations of its
+            // large model, one sweep cell per serving cell.
+            std::vector<std::function<eval::QualityReport()>> scoreFns;
+            for (std::size_t i = 0; i < cells.size(); ++i)
+                scoreFns.push_back(
+                    [&result = results[i],
+                     large = serving::scenarioModel(cells[i].params.large)] {
+                        return eval::MetricSuite().report(
+                            result.prompts, result.images,
+                            bench::referenceImages(result.prompts, large));
+                    });
+            reports = bench::runCells(std::move(scoreFns), options, labels);
+            renderQuality(scenario, cells, reports);
+        } else {
+            renderServing(scenario, cells, results);
+        }
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            auto text = serving::resultDigest(results[i]);
+            if (quality)
+                text += hexLines({reports[i].clip, reports[i].fid,
+                                  reports[i].is, reports[i].pick});
+            addCellDigest(i, workload::fnv1a64(text));
+        }
     }
     digests += digestLine("combined", combined);
 

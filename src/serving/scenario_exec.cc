@@ -1,5 +1,8 @@
 #include "src/serving/scenario_exec.hh"
 
+#include <algorithm>
+#include <unordered_map>
+
 #include "src/baselines/presets.hh"
 #include "src/cache/image_cache.hh"
 #include "src/common/log.hh"
@@ -9,10 +12,8 @@
 
 namespace modm::serving {
 
-namespace {
-
 diffusion::ModelSpec
-modelSpec(workload::ScenarioModel model)
+scenarioModel(workload::ScenarioModel model)
 {
     switch (model) {
       case workload::ScenarioModel::Sd35Large:
@@ -28,6 +29,8 @@ modelSpec(workload::ScenarioModel model)
     }
     panic("unmapped ScenarioModel");
 }
+
+namespace {
 
 diffusion::GpuKind
 gpuKind(workload::ScenarioGpu gpu)
@@ -123,7 +126,7 @@ presetConfig(const workload::Scenario &scenario,
     preset.cacheCapacity = params.cache;
     preset.seed = scenario.seed;
 
-    const auto large = modelSpec(params.large);
+    const auto large = scenarioModel(params.large);
     switch (params.system) {
       case workload::ScenarioSystem::Vanilla:
         return baselines::vanilla(large, preset);
@@ -135,18 +138,18 @@ presetConfig(const workload::Scenario &scenario,
         // The parser rejects an empty small list for this system.
         MODM_ASSERT(!params.small.empty(),
                     "standalone-small cell without a small model");
-        return baselines::standalone(modelSpec(params.small.front()),
+        return baselines::standalone(scenarioModel(params.small.front()),
                                      preset);
       case workload::ScenarioSystem::MoDM: {
         MODM_ASSERT(!params.small.empty(),
                     "modm cell without a small model");
         if (params.small.size() == 1)
-            return baselines::modm(large, modelSpec(params.small[0]),
+            return baselines::modm(large, scenarioModel(params.small[0]),
                                    preset);
         std::vector<diffusion::ModelSpec> smalls;
         smalls.reserve(params.small.size());
         for (const auto model : params.small)
-            smalls.push_back(modelSpec(model));
+            smalls.push_back(scenarioModel(model));
         return baselines::modmMulti(large, smalls, preset);
       }
     }
@@ -237,7 +240,7 @@ runScenarioCell(const workload::Scenario &scenario,
     return system.run(workload.trace);
 }
 
-std::vector<double>
+CacheStreamResult
 runScenarioCacheStream(const workload::Scenario &scenario,
                        const workload::ScenarioCell &cell)
 {
@@ -254,10 +257,10 @@ runScenarioCacheStream(const workload::Scenario &scenario,
                             evictionPolicy(params.eviction));
     embedding::TextEncoder text;
     KDecision kd;
-    const auto large = modelSpec(params.large);
+    const auto large = scenarioModel(params.large);
     MODM_ASSERT(!params.small.empty(),
                 "cache-stream cell without a refinement model");
-    const auto refine = modelSpec(params.small.front());
+    const auto refine = scenarioModel(params.small.front());
 
     // Windowed hit accounting on the streaming metrics registry
     // (request index as the clock), shared with Fig. 6; the curve over
@@ -266,6 +269,8 @@ runScenarioCacheStream(const workload::Scenario &scenario,
         static_cast<double>(scenario.window));
     const auto requestsId = registry.counter("requests");
     const auto hitsId = registry.counter("hits");
+    CacheStreamResult out;
+    std::unordered_map<std::uint64_t, std::uint64_t> reuse;
     for (std::size_t i = 0; i < scenario.requests; ++i) {
         const double t = static_cast<double>(i);
         registry.add(requestsId, t);
@@ -276,6 +281,9 @@ runScenarioCacheStream(const workload::Scenario &scenario,
         diffusion::Image img;
         if (r.found && kd.isHit(r.similarity)) {
             registry.add(hitsId, t);
+            ++out.hits;
+            out.similaritySum += r.similarity;
+            out.maxReuse = std::max(out.maxReuse, ++reuse[r.entryId]);
             cache.recordHit(r.entryId, static_cast<double>(i));
             img = sampler.refine(refine, p, cache.entry(r.entryId).image,
                                  kd.decide(r.similarity),
@@ -289,14 +297,13 @@ runScenarioCacheStream(const workload::Scenario &scenario,
     // Complete windows only (the historical curve dropped the
     // trailing partial window; take() flushes it as a final row).
     const auto series = registry.take();
-    std::vector<double> curve;
     const std::size_t complete = scenario.requests / scenario.window;
     for (std::size_t w = 0;
          w < complete && w < series.rows.size(); ++w) {
-        curve.push_back(series.rows[w].values[hitsId].sum /
-                        static_cast<double>(scenario.window));
+        out.curve.push_back(series.rows[w].values[hitsId].sum /
+                            static_cast<double>(scenario.window));
     }
-    return curve;
+    return out;
 }
 
 } // namespace modm::serving

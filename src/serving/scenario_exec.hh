@@ -19,6 +19,7 @@
 #ifndef MODM_SERVING_SCENARIO_EXEC_HH
 #define MODM_SERVING_SCENARIO_EXEC_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "src/serving/config.hh"
@@ -26,6 +27,9 @@
 #include "src/workload/scenario.hh"
 
 namespace modm::serving {
+
+/** The diffusion model a scenario model token names. */
+diffusion::ModelSpec scenarioModel(workload::ScenarioModel model);
 
 /**
  * Build the full ServingConfig for one resolved scenario cell: the
@@ -51,15 +55,28 @@ ServingResult runScenarioCell(const workload::Scenario &scenario,
                               const workload::ScenarioCell &cell,
                               const obs::TraceConfig &trace = {});
 
+/** What one cache-stream cell measured. */
+struct CacheStreamResult
+{
+    /** Hit rate per complete window of `scenario.window` requests. */
+    std::vector<double> curve;
+    /** Hits over the whole stream (trailing partial window included). */
+    std::uint64_t hits = 0;
+    /** Sum of the retrieval similarity of every hit, in stream order. */
+    double similaritySum = 0.0;
+    /** Most hits served by any one cache entry. */
+    std::uint64_t maxReuse = 0;
+};
+
 /**
  * Run one cache-stream cell: the streamed cache simulation of Fig. 6
- * (classify each prompt against an ImageCache, admit the simulated
- * generation, report the hit rate per window of `scenario.window`
- * requests). Uses the cell's cache capacity / eviction policy and
- * models, the scenario's dataset and seed, and the scenario's sampler
- * seed for the refinement substrate.
+ * and the §5.4 eviction ablation (classify each prompt against an
+ * ImageCache, refine a hit or generate a miss, admit the result).
+ * Uses the cell's cache capacity / eviction policy and models, the
+ * scenario's dataset and seed, and the scenario's sampler seed for
+ * the refinement substrate.
  */
-std::vector<double>
+CacheStreamResult
 runScenarioCacheStream(const workload::Scenario &scenario,
                        const workload::ScenarioCell &cell);
 

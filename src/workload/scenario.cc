@@ -99,6 +99,9 @@ const EnumTok<ScenarioReport> kReports[] = {
     {ScenarioReport::Throughput, "throughput"},
     {ScenarioReport::P99ByRate, "p99-by-rate"},
     {ScenarioReport::SloByRate, "slo-by-rate"},
+    {ScenarioReport::Quality, "quality"},
+    {ScenarioReport::Reuse, "reuse"},
+    {ScenarioReport::Cluster, "cluster"},
 };
 
 const EnumTok<ScenarioFault> kFaultVerbs[] = {
@@ -559,6 +562,13 @@ class Parser
         return false;
     }
 
+    /** Line of header directive `key`, else the scenario line. */
+    int lineOf(const std::string &key) const
+    {
+        const auto it = keyLines_.find(key);
+        return it == keyLines_.end() ? scenarioLine_ : it->second;
+    }
+
     bool handleLine(const std::vector<Tok> &toks);
     bool handleHeader(const std::vector<Tok> &toks);
     bool handleOp(const std::vector<Tok> &toks);
@@ -577,6 +587,8 @@ class Parser
     Section section_ = Section::Header;
     /** Source line of each header directive seen so far. */
     std::map<std::string, int> keyLines_;
+    /** Source line of each declared cell. */
+    std::vector<int> cellLines_;
     bool sawRequests_ = false;
     bool sawDuration_ = false;
     std::string error_;
@@ -1001,6 +1013,7 @@ Parser::handleCell(const std::vector<Tok> &toks)
         if (overridden.count(key))
             cell.overridden.push_back(key);
     out_.cells.push_back(std::move(cell));
+    cellLines_.push_back(lineNo_);
     return true;
 }
 
@@ -1030,6 +1043,8 @@ Parser::validate()
                           " needs a rate list (rate <r1>,<r2>,...)");
     }
 
+    const bool streamReport = out_.report == ScenarioReport::HitCurve ||
+                              out_.report == ScenarioReport::Reuse;
     if (out_.mode == ScenarioMode::CacheStream) {
         if (!out_.ops.empty())
             return failAt(out_.ops.front().line,
@@ -1040,12 +1055,21 @@ Parser::validate()
         if (out_.warm != 0)
             return failAt(scenarioLine_,
                           "cache-stream scenarios do not support warm");
-        if (out_.report != ScenarioReport::HitCurve)
-            return failAt(scenarioLine_, "cache-stream scenarios use "
-                                         "report hit-curve");
-    } else if (out_.report == ScenarioReport::HitCurve) {
-        return failAt(scenarioLine_,
-                      "report hit-curve requires mode cache-stream");
+        if (!streamReport)
+            return failAt(lineOf("report"), "cache-stream scenarios use "
+                                            "report hit-curve or reuse");
+        if (out_.window > out_.requests)
+            return failAt(keyLines_.count("window") ? lineOf("window")
+                                                    : lineOf("requests"),
+                          "window " + fmtU64(out_.window) +
+                              " exceeds requests " +
+                              fmtU64(out_.requests) +
+                              " (the hit curve would have no rows)");
+    } else if (streamReport) {
+        return failAt(lineOf("report"),
+                      std::string("report ") +
+                          enumToken(kReports, out_.report) +
+                          " requires mode cache-stream");
     }
 
     if (sawDuration_ && out_.rate <= 0.0)
@@ -1062,6 +1086,27 @@ Parser::validate()
                           "cell \"" + cell.label + "\": system " +
                               enumToken(kSystems, cell.params.system) +
                               " needs a non-empty small list");
+        // Workers and cache entries are split across nodes; a share
+        // below one would be clamped up to one, silently running a
+        // bigger cluster than the scenario asked for.
+        const auto &p = cell.params;
+        if (p.workers < p.nodes || p.cache < p.nodes)
+            return failAt(out_.cells.empty() ? lineOf("nodes")
+                                             : cellLines_[i],
+                          "cell \"" + cell.label + "\": " +
+                              (p.workers < p.nodes
+                                   ? "workers " + fmtU64(p.workers)
+                                   : "cache " + fmtU64(p.cache)) +
+                              " is below its " + fmtU64(p.nodes) +
+                              " nodes (each node needs at least one)");
+        if (out_.report == ScenarioReport::Quality &&
+            !cell.paper.empty() &&
+            std::count(cell.paper.begin(), cell.paper.end(), ',') != 1)
+            return failAt(cellLines_[i],
+                          "cell \"" + cell.label +
+                              "\": report quality takes "
+                              "paper=<clip>,<fid>, got '" +
+                              cell.paper + "'");
     }
 
     return validateArrivalOps() && validateMixOps() &&
@@ -1198,6 +1243,16 @@ Parser::validateKnobOps()
                     static_cast<double>(cell.params.nodes))
                     return failAt(op.line,
                                   "replicas knob exceeds the " +
+                                      fmtU64(cell.params.nodes) +
+                                      " nodes of cell \"" + cell.label +
+                                      "\"");
+            } else if (op.knob == ScenarioKnob::Cache) {
+                if (op.knobValue <
+                    static_cast<double>(cell.params.nodes))
+                    return failAt(op.line,
+                                  "cache knob " +
+                                      scenarioNumber(op.knobValue) +
+                                      " is below the " +
                                       fmtU64(cell.params.nodes) +
                                       " nodes of cell \"" + cell.label +
                                       "\"");

@@ -121,6 +121,9 @@ enum class ScenarioReport
     Throughput, ///< throughput normalized to the first cell (Figs. 7/8)
     P99ByRate,  ///< p99 latency, one row per rate (Fig. 16)
     SloByRate,  ///< 2x / 4x SLO violation rate per rate (Figs. 12/13)
+    Quality,    ///< CLIP / FID / IS / Pick per cell (Tables 2/3)
+    Reuse,      ///< cache-stream hit rate, similarity, reuse (§5.4)
+    Cluster,    ///< per-cell cluster shape, hit rate, tail, imbalance
 };
 
 /** Scripted node fault (mirrors serving::FaultKind). */
@@ -220,7 +223,10 @@ struct ScenarioCell
 {
     /** Row/column label in the rendered table. */
     std::string label;
-    /** Reference annotation (the Energy report's "paper" column). */
+    /**
+     * Reference annotation (the "paper" column of the energy and
+     * throughput reports; `<clip>,<fid>` for the quality report).
+     */
     std::string paper;
     /** Fully resolved params (header + overrides). */
     ScenarioParams params;
@@ -254,7 +260,10 @@ struct Scenario
      * a copy of the scenario whose `rate` is that one value.
      */
     std::vector<double> rates;
-    /** Hit-rate report window, in requests (CacheStream / HitCurve). */
+    /**
+     * Hit-rate report window, in requests (CacheStream / HitCurve); a
+     * cache-stream scenario needs window <= requests.
+     */
     std::size_t window = 2000;
     /** Sampler seed of the CacheStream substrate (Fig. 6 uses 7). */
     std::uint64_t samplerSeed = 7;

@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -43,6 +45,17 @@ parseOk(const std::string &text)
     const auto err = parseText(text, scenario);
     EXPECT_EQ(err, "");
     return scenario;
+}
+
+/** Expect `text` to fail to parse with `what`, located at `where`. */
+void
+expectError(const std::string &text, const std::string &where,
+            const std::string &what)
+{
+    Scenario out;
+    const auto err = parseText(text, out);
+    EXPECT_EQ(err.rfind(where, 0), 0u) << err;
+    EXPECT_NE(err.find(what), std::string::npos) << err;
 }
 
 const char kSteadyText[] = "scenario steady\n"
@@ -232,14 +245,6 @@ TEST(ScenarioRateList, RoundTripsCanonically)
 
 TEST(ScenarioRateList, RejectionsCarryFileAndLine)
 {
-    Scenario out;
-    const auto expectError = [&](const std::string &text,
-                                 const std::string &where,
-                                 const std::string &what) {
-        const auto err = parseText(text, out);
-        EXPECT_EQ(err.rfind(where, 0), 0u) << err;
-        EXPECT_NE(err.find(what), std::string::npos) << err;
-    };
     expectError("scenario s\nrequests 10\nrate 3,0,5\n", "test.scn:3:",
                 "entries must be > 0");
     expectError("scenario s\nrequests 10\nrate 3,-1\n", "test.scn:3:",
@@ -266,6 +271,52 @@ TEST(ScenarioRateList, RejectionsCarryFileAndLine)
                 "test.scn:4:", "p99-by-rate needs a rate list");
     expectError("scenario s\nrequests 10\nreport slo-by-rate\n",
                 "test.scn:3:", "slo-by-rate needs a rate list");
+}
+
+TEST(ScenarioValidation, RejectionsCarryFileAndLine)
+{
+    // A cache-stream window longer than the stream has no rows.
+    expectError("scenario s\nmode cache-stream\nrequests 100\n"
+                "window 1000\nreport hit-curve\n",
+                "test.scn:4:", "window 1000 exceeds requests 100");
+    expectError("scenario s\nmode cache-stream\nrequests 100\n"
+                "report reuse\n",
+                "test.scn:3:", "window 2000 exceeds requests 100");
+    // Budgets split across nodes need at least one unit per node.
+    expectError("scenario s\nrequests 10\nworkers 2\nnodes 4\n",
+                "test.scn:4:", "workers 2 is below its 4 nodes");
+    expectError("scenario s\nrequests 10\ncache 3\nnodes 4\n",
+                "test.scn:4:", "cache 3 is below its 4 nodes");
+    expectError("scenario s\nrequests 10\nworkers 8\n\n"
+                "cell \"ok\" nodes=4\ncell \"thin\" nodes=4 workers=2\n",
+                "test.scn:6:", "cell \"thin\": workers 2 is below");
+    expectError("scenario s\nrequests 10\nrate 5\nnodes 4\n"
+                "workers 8\n\nat 10 set cache 2\n",
+                "test.scn:7:", "cache knob 2 is below the 4 nodes");
+    // Report kinds belong to one mode.
+    expectError("scenario s\nrequests 10\nreport reuse\n",
+                "test.scn:3:", "report reuse requires mode cache-stream");
+    expectError("scenario s\nrequests 10\nreport hit-curve\n",
+                "test.scn:3:",
+                "report hit-curve requires mode cache-stream");
+    expectError("scenario s\nmode cache-stream\nrequests 10\n"
+                "window 5\nreport quality\n",
+                "test.scn:5:", "use report hit-curve or reuse");
+    expectError("scenario s\nmode cache-stream\nrequests 10\n"
+                "window 5\nreport cluster\n",
+                "test.scn:5:", "use report hit-curve or reuse");
+    // Quality's paper annotation is a <clip>,<fid> pair.
+    expectError("scenario s\nrequests 10\nreport quality\n\n"
+                "cell \"a\" paper=28.5\n",
+                "test.scn:5:", "paper=<clip>,<fid>");
+
+    // The boundaries themselves parse.
+    parseOk("scenario s\nmode cache-stream\nrequests 100\n"
+            "window 100\nreport reuse\n");
+    parseOk("scenario s\nrequests 10\nrate 5\nnodes 4\nworkers 4\n"
+            "cache 4\n\nat 10 set cache 4\n");
+    parseOk("scenario s\nrequests 10\nreport quality\n\n"
+            "cell \"a\" paper=28.55,6.29\ncell \"b\"\n");
 }
 
 TEST(ScenarioParseDeath, LoadOrDieReportsFileAndLine)
@@ -323,9 +374,9 @@ TEST(ScenarioFiles, EveryScenarioHasGoldensAndNoGoldenIsOrphaned)
 
 TEST(ScenarioFiles, PortedFigureDigestsArePinned)
 {
-    // Frozen digests of the figure ports. A change here means the
-    // scenario's meaning changed — the matching golden, which is the
-    // output of the figure binary the scenario replaced, must be
+    // Frozen digests of the figure, table and ablation ports. A change
+    // here means the scenario's meaning changed — the matching golden,
+    // which is the output of the binary the scenario replaced, must be
     // revisited, not just re-pinned.
     const std::pair<const char *, std::uint64_t> kPinned[] = {
         {"fig06_hit_rate", 0xea14f86034447e74ULL},
@@ -337,6 +388,11 @@ TEST(ScenarioFiles, PortedFigureDigestsArePinned)
         {"fig16_a40", 0x5accb6aa6aef1867ULL},
         {"fig16_mi210", 0x0ccf054ae0878d6aULL},
         {"fig18_energy", 0xf09cbd0285e74bccULL},
+        {"table2_diffusiondb", 0x536562eb78cdcd1eULL},
+        {"table2_mjhq", 0xf343723efd368b3aULL},
+        {"table3_flux", 0xe1c8695fcb489213ULL},
+        {"ablation_cache_policy", 0x24766924932d5465ULL},
+        {"ablation_multinode", 0x5a63156b182e598bULL},
     };
     for (const auto &[name, digest] : kPinned) {
         SCOPED_TRACE(name);
@@ -426,24 +482,29 @@ TEST(ScenarioEquivalence, ServingCellMatchesLegacyPresetRun)
 
 TEST(ScenarioEquivalence, CacheStreamMatchesInlineFig06Loop)
 {
-    // Scaled-down Fig. 6: the scenario executor's streamed-cache loop
-    // against a verbatim transcription of the legacy binary's.
+    // Scaled-down Fig. 6 and cache-policy ablation: the scenario
+    // executor's streamed-cache loop against a verbatim transcription
+    // of the legacy binaries' (hit curve, hits, similarity, reuse).
     const auto scenario = parseOk("scenario fig06_small\n"
                                   "mode cache-stream\n"
                                   "requests 4000\n"
                                   "window 500\n"
                                   "cache 800\n"
-                                  "report hit-curve\n");
-    const auto curve =
+                                  "eviction utility\n"
+                                  "report reuse\n");
+    const auto stream =
         serving::runScenarioCacheStream(scenario, scenario.cell(0));
 
     auto gen = makeDiffusionDB(42);
     diffusion::Sampler sampler(7);
-    cache::ImageCache cache(800, cache::EvictionPolicy::FIFO);
+    cache::ImageCache cache(800, cache::EvictionPolicy::Utility);
     embedding::TextEncoder text;
     serving::KDecision kd;
     std::vector<double> expected;
     std::size_t hits = 0;
+    std::uint64_t totalHits = 0;
+    double simSum = 0.0;
+    std::map<std::uint64_t, std::uint64_t> reuse;
     for (std::size_t i = 0; i < 4000; ++i) {
         const auto p = gen->next();
         const auto te =
@@ -452,6 +513,9 @@ TEST(ScenarioEquivalence, CacheStreamMatchesInlineFig06Loop)
         diffusion::Image img;
         if (r.found && kd.isHit(r.similarity)) {
             ++hits;
+            ++totalHits;
+            simSum += r.similarity;
+            ++reuse[r.entryId];
             cache.recordHit(r.entryId, static_cast<double>(i));
             img = sampler.refine(diffusion::sdxl(), p,
                                  cache.entry(r.entryId).image,
@@ -467,7 +531,35 @@ TEST(ScenarioEquivalence, CacheStreamMatchesInlineFig06Loop)
             hits = 0;
         }
     }
-    EXPECT_EQ(curve, expected);
+    std::uint64_t maxReuse = 0;
+    for (const auto &[id, count] : reuse)
+        maxReuse = std::max(maxReuse, count);
+    EXPECT_EQ(stream.curve, expected);
+    EXPECT_EQ(stream.hits, totalHits);
+    EXPECT_EQ(stream.similaritySum, simSum);
+    EXPECT_EQ(stream.maxReuse, maxReuse);
+    EXPECT_GT(stream.maxReuse, 1u);
+}
+
+TEST(ScenarioEquivalence, CacheStreamHitsMatchTheCurveWhenWindowsTile)
+{
+    // When the window divides the stream, the whole-stream hit count
+    // is the curve's windows summed back into counts.
+    const auto scenario = parseOk("scenario tiles\n"
+                                  "mode cache-stream\n"
+                                  "requests 3000\n"
+                                  "window 250\n"
+                                  "cache 400\n"
+                                  "report reuse\n");
+    const auto stream =
+        serving::runScenarioCacheStream(scenario, scenario.cell(0));
+    ASSERT_EQ(stream.curve.size(), 12u);
+    double windowHits = 0.0;
+    for (const double rate : stream.curve)
+        windowHits += rate * 250.0;
+    EXPECT_GT(stream.hits, 0u);
+    EXPECT_EQ(static_cast<double>(stream.hits), std::round(windowHits));
+    EXPECT_NEAR(static_cast<double>(stream.hits), windowHits, 1e-6);
 }
 
 TEST(ScenarioEquivalence, FaultOpsMatchHandBuiltFaultPlan)

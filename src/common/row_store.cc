@@ -19,66 +19,79 @@ allocAligned(std::size_t floats)
 
 // ----------------------------------------------------------- AlignedRows
 
+template <typename T>
 void
-AlignedRows::reset(std::size_t dim)
+BasicAlignedRows<T>::reset(std::size_t dim)
 {
     MODM_ASSERT(dim > 0, "AlignedRows needs a positive dim");
     dim_ = dim;
-    stride_ = alignedRowStride(dim);
+    stride_ = alignedRowStride<T>(dim);
     size_ = 0;
     capacity_ = 0;
     data_.reset();
 }
 
+template <typename T>
 void
-AlignedRows::grow(std::size_t rows)
+BasicAlignedRows<T>::grow(std::size_t rows)
 {
     std::size_t cap = capacity_ ? capacity_ : 16;
     while (cap < rows)
         cap *= 2;
-    std::unique_ptr<float[], Free> fresh(allocAligned(cap * stride_));
-    if (size_ > 0) {
-        std::memcpy(fresh.get(), data_.get(),
-                    size_ * stride_ * sizeof(float));
-    }
+    std::unique_ptr<T[], Free> fresh(static_cast<T *>(::operator new[](
+        cap * stride_ * sizeof(T), std::align_val_t{64})));
+    if (size_ > 0)
+        std::memcpy(fresh.get(), data_.get(), size_ * stride_ * sizeof(T));
     data_ = std::move(fresh);
     capacity_ = cap;
 }
 
+template <typename T>
 void
-AlignedRows::reserve(std::size_t rows)
+BasicAlignedRows<T>::reserve(std::size_t rows)
 {
     if (rows > capacity_)
         grow(rows);
 }
 
-std::size_t
-AlignedRows::pushBack(const float *src)
+template <typename T>
+T *
+BasicAlignedRows<T>::append()
 {
-    MODM_ASSERT(dim_ > 0, "AlignedRows::reset before pushBack");
+    MODM_ASSERT(dim_ > 0, "AlignedRows::reset before append");
     if (size_ == capacity_)
         grow(size_ + 1);
-    float *dst = data_.get() + size_ * stride_;
-    std::memcpy(dst, src, dim_ * sizeof(float));
+    T *dst = data_.get() + size_++ * stride_;
     // Zero the pad once so the buffer never holds indeterminate bytes
     // (the kernels score exactly dim elements and skip the pad).
     for (std::size_t i = dim_; i < stride_; ++i)
-        dst[i] = 0.0f;
-    return size_++;
+        dst[i] = T{};
+    return dst;
 }
 
+template <typename T>
+std::size_t
+BasicAlignedRows<T>::pushBack(const T *src)
+{
+    std::memcpy(append(), src, dim_ * sizeof(T));
+    return size_ - 1;
+}
+
+template <typename T>
 void
-AlignedRows::swapRemove(std::size_t slot)
+BasicAlignedRows<T>::swapRemove(std::size_t slot)
 {
     MODM_ASSERT(slot < size_, "AlignedRows::swapRemove out of range");
     const std::size_t last = size_ - 1;
     if (slot != last) {
         std::memcpy(data_.get() + slot * stride_,
-                    data_.get() + last * stride_,
-                    stride_ * sizeof(float));
+                    data_.get() + last * stride_, stride_ * sizeof(T));
     }
     size_ = last;
 }
+
+template class BasicAlignedRows<float>;
+template class BasicAlignedRows<std::uint16_t>;
 
 // ------------------------------------------------------------- RowStore
 

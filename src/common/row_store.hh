@@ -10,7 +10,8 @@
  *   AlignedRows  dense slot-addressed storage for index scans: one
  *                buffer, rows at slot * stride, 64-byte aligned, with
  *                swap-remove compaction. This is what dotBatch /
- *                topKBatch stream over.
+ *                topKBatch stream over. HalfRows is the same slab over
+ *                fp16 bit patterns (FlatIndex's prefilter shadow).
  *
  *   RowStore     chunked slab with STABLE row pointers plus a LIFO
  *                freelist, for caches: entries hand out `Slot` handles,
@@ -18,12 +19,12 @@
  *                RowSource::row() returns the slab pointer directly
  *                (zero-copy re-rank).
  *
- * Rows are padded to a 16-float (64-byte) stride so every row starts
- * on a cache line; the pad floats are zeroed once and never read by
- * the kernels (which score exactly `dim` elements), so results are
- * unchanged. At the embedding dims this repo uses (64, 512) the
- * stride equals the dim and the byte accounting is identical to the
- * per-row-vector layout it replaces.
+ * Rows are padded to a 64-byte stride (16 floats, 32 halves) so every
+ * row starts on a cache line; the pad elements are zeroed once and
+ * never read by the kernels (which score exactly `dim` elements), so
+ * results are unchanged. At the embedding dims this repo uses (64,
+ * 512) the stride equals the dim and the byte accounting is identical
+ * to the per-row-vector layout it replaces.
  */
 
 #ifndef MODM_COMMON_ROW_STORE_HH
@@ -37,11 +38,13 @@
 
 namespace modm {
 
-/** Round a row length up to a whole number of cache lines. */
+/** Round a row of `dim` T's up to a whole number of cache lines. */
+template <typename T = float>
 constexpr std::size_t
 alignedRowStride(std::size_t dim)
 {
-    return (dim + 15) / 16 * 16;
+    constexpr std::size_t perLine = 64 / sizeof(T);
+    return (dim + perLine - 1) / perLine * perLine;
 }
 
 /**
@@ -50,41 +53,47 @@ alignedRowStride(std::size_t dim)
  * owns the slot-to-id mapping, exactly as with the flat vector this
  * replaces). Reallocation moves the buffer, so raw pointers are only
  * stable between mutations — index scans take them fresh per query.
+ * Instantiated for float (AlignedRows) and std::uint16_t (HalfRows).
  */
-class AlignedRows
+template <typename T>
+class BasicAlignedRows
 {
   public:
-    AlignedRows() = default;
-    explicit AlignedRows(std::size_t dim) { reset(dim); }
+    BasicAlignedRows() = default;
+    explicit BasicAlignedRows(std::size_t dim) { reset(dim); }
 
     /** Set the row length and drop all rows. */
     void reset(std::size_t dim);
 
     std::size_t dim() const { return dim_; }
-    /** Floats between consecutive rows (>= dim, 16-float aligned). */
+    /** Elements between consecutive rows (>= dim, 64-byte aligned). */
     std::size_t stride() const { return stride_; }
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    const float *data() const { return data_.get(); }
-    const float *row(std::size_t slot) const
+    const T *data() const { return data_.get(); }
+    const T *row(std::size_t slot) const
     {
         return data_.get() + slot * stride_;
     }
-    float *row(std::size_t slot) { return data_.get() + slot * stride_; }
+    T *row(std::size_t slot) { return data_.get() + slot * stride_; }
 
     void reserve(std::size_t rows);
+    /** Append a row with its pad zeroed and return it for the caller
+     *  to fill in [0, dim); the new slot is size() - 1. */
+    T *append();
     /** Append a copy of src[0..dim); returns the new row's slot. */
-    std::size_t pushBack(const float *src);
+    std::size_t pushBack(const T *src);
     /** Move the last row into `slot` and shrink by one. */
     void swapRemove(std::size_t slot);
     void clear() { size_ = 0; }
 
-    /** Bytes of row payload (size * stride * 4); no allocator slack,
-     *  so the figure is a pure function of the construction sequence. */
+    /** Bytes of row payload (size * stride * sizeof(T)); no allocator
+     *  slack, so the figure is a pure function of the construction
+     *  sequence. */
     std::size_t memoryBytes() const
     {
-        return size_ * stride_ * sizeof(float);
+        return size_ * stride_ * sizeof(T);
     }
 
   private:
@@ -92,17 +101,20 @@ class AlignedRows
 
     struct Free
     {
-        void operator()(float *p) const
+        void operator()(T *p) const
         {
             ::operator delete[](p, std::align_val_t{64});
         }
     };
-    std::unique_ptr<float[], Free> data_;
+    std::unique_ptr<T[], Free> data_;
     std::size_t dim_ = 0;
     std::size_t stride_ = 0;
     std::size_t size_ = 0;
     std::size_t capacity_ = 0;
 };
+
+using AlignedRows = BasicAlignedRows<float>;
+using HalfRows = BasicAlignedRows<std::uint16_t>;
 
 /**
  * Chunked slab with stable pointers and freelist reuse. insert()

@@ -17,6 +17,26 @@
  * per-row dot products the serial loop would, and the merge orders by
  * (similarity desc, insertion slot asc) — a total order — so serial and
  * sharded scans return bit-identical results.
+ *
+ * Exact fp16 prefilter. Next to the float rows the index keeps an fp16
+ * shadow of every row (HalfRows, moved in lockstep through insert,
+ * swap-remove and clear) and each row's error term, an upper bound on
+ * its L2 norm, with the maximum over every aligned block of 256 slots.
+ * A scan reads the shadow, half the bytes of the float rows, one
+ * block at a time and scores it in float through
+ * kernels::dotHalfBatch. For a row with prefilter score s~, the pinned
+ * double score lies in [s~ - eps, s~ + eps], where eps is a proven
+ * bound on the fp16 rounding plus both accumulations, taken at the
+ * block's largest norm (docs/RETRIEVAL.md, "Exact fp16 prefilter").
+ * best() keeps the running maximum L of s~ - eps; topK(k) keeps the
+ * k-th largest. Each block re-scores its rows with s~ + eps >= L
+ * through the pinned double kernel, in slot order, with the same
+ * admission as the exhaustive scan. A discarded row scores strictly
+ * below the rows that set L, so results equal the exhaustive double
+ * scan bit for bit under every kernel tier, although the prefilter
+ * sums may differ by tier. Queries the bound does not cover (zero,
+ * non-finite, or large enough to overflow the float prefilter) take
+ * the exhaustive scan.
  */
 
 #ifndef MODM_EMBEDDING_INDEX_HH
@@ -59,6 +79,15 @@ class FlatIndex final : public VectorIndex
 
     /** Insert an embedding under a fresh id; ids must be unique. */
     void insert(std::uint64_t id, const Embedding &embedding) override;
+
+    /**
+     * Insert a raw row of dim() floats as is (insert() forwards the
+     * embedding's unit vector here). Every element must be finite: a
+     * NaN would win or break every comparison, so it aborts naming
+     * the id and element. Elements beyond the fp16 range are allowed;
+     * their shadow saturates and their row is always re-scored.
+     */
+    void insertRow(std::uint64_t id, const float *row);
 
     /** Remove an id; returns false when absent. */
     bool remove(std::uint64_t id) override;
@@ -109,13 +138,16 @@ class FlatIndex final : public VectorIndex
     /** Remove everything. */
     void clear() override;
 
-    /** Flat rows + ids + locator payloads; ~4 * dim + 32 per entry.
-     *  Counts dim (not stride) floats per row so the figure is
-     *  unchanged from the pre-slab layout at any dimension. */
+    /** Float rows + fp16 shadow rows + error terms (per row and per
+     *  block) + ids + locator payloads; ~6 * dim + 36 per entry.
+     *  Counts dim (not stride) elements per row so the figure does not
+     *  depend on the slab padding. */
     std::size_t memoryBytes() const override
     {
-        return ids_.size() * dim_ * sizeof(float) +
-            ids_.size() * sizeof(std::uint64_t) +
+        return ids_.size() *
+            (dim_ * (sizeof(float) + sizeof(std::uint16_t)) +
+             sizeof(float) + sizeof(std::uint64_t)) +
+            blockNorm_.size() * sizeof(float) +
             locatorBytes(slotOf_.size(), sizeof(std::size_t));
     }
 
@@ -127,21 +159,45 @@ class FlatIndex final : public VectorIndex
         double score;
     };
 
+    /** Slots per prefilter block; blocks start at multiples of it. */
+    static constexpr std::size_t kBlock = 256;
+
+    /** One query's prefilter bound: a row of norm at most `norm`
+     *  has |s~ - d| <= perNorm * norm + fixed. */
+    struct Bound
+    {
+        double perNorm = 0.0;
+        double fixed = 0.0;
+        /** False: the query falls outside the bound's assumptions and
+         *  scans use the exhaustive double kernel. */
+        bool usable = false;
+    };
+
+    /** Derive the bound for one query (docs/RETRIEVAL.md). */
+    Bound boundFor(const float *query) const;
+
+    /** Recompute blockNorm_[block] from the rows it holds. */
+    void refreshBlockNorm(std::size_t block);
+
     /** Shards the next scan will use (1 = serial). */
     std::size_t scanShards() const;
 
     /** Best slot in [lo, hi), earliest slot winning ties. */
-    SlotScore scanBest(const float *query, std::size_t lo,
-                       std::size_t hi) const;
+    SlotScore scanBest(const float *query, const Bound &bound,
+                       std::size_t lo, std::size_t hi) const;
 
     /** Top `keep` slots in [lo, hi) by (score desc, slot asc). */
-    std::vector<SlotScore> scanTop(const float *query, std::size_t lo,
-                                   std::size_t hi, std::size_t keep) const;
+    std::vector<SlotScore> scanTop(const float *query, const Bound &bound,
+                                   std::size_t lo, std::size_t hi,
+                                   std::size_t keep) const;
 
     std::size_t dim_;
     std::size_t parallelism_ = 1;
     std::size_t parallelThreshold_ = kDefaultParallelThreshold;
     AlignedRows rows_;               // slot-addressed, 64-byte aligned
+    HalfRows shadow_;                // fp16 copy of rows_, same slots
+    std::vector<float> normBound_;   // slot -> bound on ||row||_2, or inf
+    std::vector<float> blockNorm_;   // block -> max normBound_ in it
     std::vector<std::uint64_t> ids_;             // slot -> id
     std::unordered_map<std::uint64_t, std::size_t> slotOf_; // id -> slot
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +15,7 @@
 #include <sstream>
 
 #include "src/common/log.hh"
+#include "src/common/parse.hh"
 
 namespace modm::workload {
 namespace {
@@ -187,17 +187,6 @@ fmtU64(std::uint64_t value)
 }
 
 bool
-parseU64(const std::string &tok, std::uint64_t &out)
-{
-    if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoull(tok.c_str(), &end, 10);
-    return errno == 0 && end != nullptr && *end == '\0';
-}
-
-bool
 parseSize(const std::string &tok, std::size_t &out)
 {
     std::uint64_t v = 0;
@@ -205,18 +194,6 @@ parseSize(const std::string &tok, std::size_t &out)
         return false;
     out = static_cast<std::size_t>(v);
     return static_cast<std::uint64_t>(out) == v;
-}
-
-bool
-parseDouble(const std::string &tok, double &out)
-{
-    if (tok.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtod(tok.c_str(), &end);
-    return errno == 0 && end != nullptr && *end == '\0' &&
-           std::isfinite(out);
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,12 @@
 #include "src/workload/trace_io.hh"
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/common/log.hh"
+#include "src/common/parse.hh"
 
 namespace modm::workload {
 
@@ -25,15 +28,60 @@ encodeVec(const Vec &v)
     return out.str();
 }
 
+/** Column names, in row order; diagnostics name fields by them. */
+constexpr const char *kFields[] = {"arrival", "prompt_id",  "topic_id",
+                                   "user_id", "session_id", "text",
+                                   "visual",  "lexical"};
+
+[[noreturn]] void
+badField(std::size_t line, std::size_t field, const char *expected,
+         const std::string &token)
+{
+    fatal("trace line %zu: field %s: expected %s, got \"%s\"", line,
+          kFields[field], expected, token.c_str());
+}
+
+double
+fieldDouble(const std::string &token, std::size_t line, std::size_t field)
+{
+    double value = 0.0;
+    if (!parseDouble(token, value))
+        badField(line, field, "a finite number", token);
+    return value;
+}
+
+std::uint64_t
+fieldU64(const std::string &token, std::size_t line, std::size_t field)
+{
+    std::uint64_t value = 0;
+    if (!parseU64(token, value))
+        badField(line, field, "an unsigned 64-bit integer", token);
+    return value;
+}
+
+std::uint32_t
+fieldU32(const std::string &token, std::size_t line, std::size_t field)
+{
+    std::uint64_t value = 0;
+    if (!parseU64(token, value) ||
+        value > std::numeric_limits<std::uint32_t>::max())
+        badField(line, field, "an unsigned 32-bit integer", token);
+    return static_cast<std::uint32_t>(value);
+}
+
 Vec
-decodeVec(const std::string &field)
+decodeVec(const std::string &text, std::size_t line, std::size_t field)
 {
     Vec out;
-    std::istringstream in(field);
+    std::istringstream in(text);
     std::string token;
     while (std::getline(in, token, ';')) {
-        if (!token.empty())
-            out.push_back(std::stof(token));
+        if (token.empty())
+            continue;
+        float value = 0.0f;
+        if (!parseFloat(token, value))
+            badField(line, field, "finite floats separated by ';'", token);
+        out.push_back(value);
     }
     return out;
 }
@@ -99,23 +147,24 @@ writeRows(const Trace &trace, std::ostream &out)
     }
 }
 
+/** Parse row `line` (1-based, the header is line 1). */
 Request
-parseRow(const std::string &line)
+parseRow(const std::string &text, std::size_t line)
 {
-    const auto fields = splitRow(line);
-    if (fields.size() != 8)
-        fatal("malformed trace row with %zu fields", fields.size());
+    const auto fields = splitRow(text);
+    if (fields.size() != 8) {
+        fatal("trace line %zu: malformed trace row with %zu fields", line,
+              fields.size());
+    }
     Request request;
-    request.arrival = std::stod(fields[0]);
-    request.prompt.id = std::stoull(fields[1]);
-    request.prompt.topicId =
-        static_cast<std::uint32_t>(std::stoul(fields[2]));
-    request.prompt.userId =
-        static_cast<std::uint32_t>(std::stoul(fields[3]));
-    request.prompt.sessionId = std::stoull(fields[4]);
+    request.arrival = fieldDouble(fields[0], line, 0);
+    request.prompt.id = fieldU64(fields[1], line, 1);
+    request.prompt.topicId = fieldU32(fields[2], line, 2);
+    request.prompt.userId = fieldU32(fields[3], line, 3);
+    request.prompt.sessionId = fieldU64(fields[4], line, 4);
     request.prompt.text = fields[5];
-    request.prompt.visualConcept = decodeVec(fields[6]);
-    request.prompt.lexicalStyle = decodeVec(fields[7]);
+    request.prompt.visualConcept = decodeVec(fields[6], line, 6);
+    request.prompt.lexicalStyle = decodeVec(fields[7], line, 7);
     return request;
 }
 
@@ -153,10 +202,10 @@ loadTrace(std::istream &in)
         fatal("not a MoDM trace CSV (bad header)");
 
     Trace trace;
-    while (std::getline(in, line)) {
+    for (std::size_t lineNo = 2; std::getline(in, line); ++lineNo) {
         if (line.empty() || isEventLine(line))
             continue;
-        trace.push_back(parseRow(line));
+        trace.push_back(parseRow(line, lineNo));
     }
     return trace;
 }
@@ -202,7 +251,7 @@ loadAnnotatedTrace(std::istream &in)
         fatal("not a MoDM trace CSV (bad header)");
 
     AnnotatedTrace annotated;
-    while (std::getline(in, line)) {
+    for (std::size_t lineNo = 2; std::getline(in, line); ++lineNo) {
         if (line.empty())
             continue;
         if (isEventLine(line)) {
@@ -211,7 +260,7 @@ loadAnnotatedTrace(std::istream &in)
             annotated.events.push_back(line.substr(3));
             continue;
         }
-        annotated.trace.push_back(parseRow(line));
+        annotated.trace.push_back(parseRow(line, lineNo));
     }
     return annotated;
 }

@@ -12,10 +12,18 @@
  * differently. Everything the batch entry points return —
  * dotBatch, dotGather, topKBatch, bestBatch — must match the
  * single-row kernel exactly, including ordering and tie-break rules.
+ *
+ * The fp16 prefilter is outside that contract: its codec must be
+ * exact (every finite half decodes to its value and re-encodes to
+ * itself; encoding rounds to nearest even and saturates), and its
+ * float sums must stay within the accumulation bound FlatIndex
+ * charges, on every tier.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -258,11 +266,122 @@ TEST(Kernels, BestBatchBreaksExactTiesTowardTheEarliestSlot)
     }
 }
 
+float
+halfValue(std::uint16_t bits)
+{
+    // binary16 by definition: (-1)^s * 2^(e-15) * (1 + m/1024), with
+    // e == 0 meaning 2^-14 * (m/1024).
+    const int e = (bits >> 10) & 0x1f;
+    const int m = bits & 0x3ff;
+    const double mag = e == 0 ? std::ldexp(m, -24)
+                              : std::ldexp(1024 + m, e - 25);
+    return static_cast<float>((bits & 0x8000) ? -mag : mag);
+}
+
+TEST(HalfCodec, DecodesEveryFiniteHalfExactlyAndReencodesItBitForBit)
+{
+    for (std::uint32_t bits = 0; bits <= 0xffff; ++bits) {
+        const auto h = static_cast<std::uint16_t>(bits);
+        if (((h >> 10) & 0x1f) == 0x1f)
+            continue; // infinities and NaNs never reach the shadow
+        const float value = decodeHalf(h);
+        EXPECT_EQ(value, halfValue(h)) << std::hex << bits;
+        EXPECT_EQ(std::signbit(value), (h & 0x8000) != 0);
+        EXPECT_EQ(encodeHalf(value), h) << std::hex << bits;
+    }
+}
+
+TEST(HalfCodec, EncodeRoundsToNearestEvenAndSaturates)
+{
+    const float unit = std::ldexp(1.0f, -24); // smallest subnormal
+    EXPECT_EQ(encodeHalf(0.5f * unit), 0x0000);        // tie -> even 0
+    EXPECT_EQ(encodeHalf(std::nextafter(0.5f * unit, 1.0f)), 0x0001);
+    EXPECT_EQ(encodeHalf(1.5f * unit), 0x0002);        // tie -> even 2
+    EXPECT_EQ(encodeHalf(2.5f * unit), 0x0002);        // tie -> even 2
+    EXPECT_EQ(encodeHalf(-2.5f * unit), 0x8002);
+    EXPECT_EQ(encodeHalf(1e-40f), 0x0000);             // float subnormal
+    EXPECT_EQ(encodeHalf(1.0f + std::ldexp(1.0f, -11)), 0x3c00); // tie
+    EXPECT_EQ(encodeHalf(1.0f + 3 * std::ldexp(1.0f, -11)), 0x3c02);
+    EXPECT_EQ(encodeHalf(std::ldexp(1.0f, -14)), 0x0400); // min normal
+    // The largest subnormal rounds up into the normal range.
+    EXPECT_EQ(encodeHalf(std::ldexp(1.0f, -14) - 0.25f * unit), 0x0400);
+    EXPECT_EQ(encodeHalf(kHalfMax), 0x7bff);
+    EXPECT_EQ(encodeHalf(65519.0f), 0x7bff);
+    EXPECT_EQ(encodeHalf(65520.0f), 0x7bff); // IEEE says inf: saturate
+    EXPECT_EQ(encodeHalf(-1e30f), 0xfbff);
+}
+
+TEST(HalfKernels, PrefilterSumsStayWithinTheirBoundOnEveryTier)
+{
+    ScopedTier guard;
+    Rng rng(99);
+    for (const std::size_t dim : testDims()) {
+        constexpr std::size_t kRows = 37; // 4 blocks of 8 + 5 tail rows
+        HalfRows rows(dim);
+        std::vector<Vec> decoded;
+        for (std::size_t r = 0; r < kRows; ++r) {
+            Vec v = randomUnitVec(dim, rng);
+            std::uint16_t *h = rows.append();
+            for (std::size_t i = 0; i < dim; ++i) {
+                h[i] = encodeHalf(v[i] * 300.0f);
+                v[i] = decodeHalf(h[i]);
+            }
+            decoded.push_back(v);
+        }
+        const Vec query = randomUnitVec(dim, rng);
+        const double k = static_cast<double>(dim + 4);
+        const double gamma = k * 0x1p-24 / (1.0 - k * 0x1p-24);
+        for (const Tier tier : availableTiers()) {
+            ASSERT_TRUE(setTier(tier));
+            std::vector<float> out(kRows);
+            const float top = dotHalfBatch(query.data(), rows.data(),
+                                           rows.stride(), kRows, dim,
+                                           out.data());
+            float expectTop = out[0];
+            for (std::size_t r = 0; r < kRows; ++r) {
+                double exact = 0.0;
+                double absSum = 0.0;
+                for (std::size_t i = 0; i < dim; ++i) {
+                    exact += static_cast<double>(query[i]) * decoded[r][i];
+                    absSum += std::fabs(static_cast<double>(query[i]) *
+                                        decoded[r][i]);
+                }
+                EXPECT_LE(std::fabs(out[r] - exact),
+                          gamma * absSum + k * 0x1p-149)
+                    << tierName(tier) << " dim " << dim << " row " << r;
+                expectTop = std::max(expectTop, out[r]);
+            }
+            EXPECT_EQ(top, expectTop) << tierName(tier) << " dim " << dim;
+        }
+    }
+}
+
 } // namespace
 } // namespace modm::kernels
 
 namespace modm {
 namespace {
+
+TEST(AlignedRows, HalfRowsPadToWholeCacheLinesAndSwapRemove)
+{
+    EXPECT_EQ(alignedRowStride<std::uint16_t>(1), std::size_t{32});
+    EXPECT_EQ(alignedRowStride<std::uint16_t>(64), std::size_t{64});
+    EXPECT_EQ(alignedRowStride<std::uint16_t>(65), std::size_t{96});
+    HalfRows rows(65);
+    for (std::uint16_t r = 0; r < 3; ++r) {
+        std::uint16_t *h = rows.append();
+        for (std::size_t i = 0; i < 65; ++i)
+            h[i] = r;
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(h) % 64, 0u);
+        for (std::size_t i = 65; i < rows.stride(); ++i)
+            EXPECT_EQ(h[i], 0) << "pad must be zeroed";
+    }
+    rows.swapRemove(0);
+    ASSERT_EQ(rows.size(), std::size_t{2});
+    EXPECT_EQ(rows.row(0)[64], 2);
+    EXPECT_EQ(rows.row(1)[0], 1);
+    EXPECT_EQ(rows.memoryBytes(), 2 * 96 * sizeof(std::uint16_t));
+}
 
 TEST(AlignedRows, StrideRoundsUpToWholeCacheLines)
 {

@@ -27,13 +27,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/cache/image_cache.hh"
+#include "src/common/kernels.hh"
 #include "src/common/rng.hh"
 #include "src/diffusion/sampler.hh"
 #include "src/embedding/hnsw_index.hh"
@@ -49,9 +52,10 @@ namespace {
 
 /**
  * Reference reimplementation of the original flat cosine index: flat row
- * storage, swap-with-last removal, serial scan accumulating each dot
- * in double, results ordered by (similarity desc, slot asc). FlatIndex
- * results must match this bit for bit.
+ * storage, swap-with-last removal, an exhaustive serial scan scoring
+ * every row through kernels::dot, results ordered by (similarity desc,
+ * slot asc). FlatIndex results — whose fp16 prefilter skips rows —
+ * must match this bit for bit.
  */
 class ReferenceIndex
 {
@@ -60,10 +64,14 @@ class ReferenceIndex
 
     void insert(std::uint64_t id, const Embedding &embedding)
     {
+        insertRow(id, embedding.vec().data());
+    }
+
+    void insertRow(std::uint64_t id, const float *row)
+    {
         slotOf_[id] = ids_.size();
         ids_.push_back(id);
-        rows_.insert(rows_.end(), embedding.vec().begin(),
-                     embedding.vec().end());
+        rows_.insert(rows_.end(), row, row + dim_);
     }
 
     void remove(std::uint64_t id)
@@ -92,14 +100,12 @@ class ReferenceIndex
         scored.reserve(ids_.size());
         const float *q = query.vec().data();
         for (std::size_t slot = 0; slot < ids_.size(); ++slot) {
-            // Score through the shared modm::dot so the seam this
+            // Score through the pinned kernels::dot so the seam this
             // reference pins is the index bookkeeping (insert /
-            // remove / slot tie-break / merge), not the dot's
-            // floating-point association order — the multi-
-            // accumulator unroll legitimately rounds differently in
-            // the last ulp than a naive sequential chain would.
+            // remove / slot tie-break / merge / prefilter), not the
+            // dot's floating-point association order.
             const float *row = &rows_[slot * dim_];
-            scored.push_back({slot, dot(q, row, dim_)});
+            scored.push_back({slot, kernels::dot(q, row, dim_)});
         }
         std::sort(scored.begin(), scored.end(),
                   [](const SlotScore &a, const SlotScore &b) {
@@ -769,15 +775,20 @@ TEST(VectorIndexMemory, FlatAndIvfAccountExactly)
     EXPECT_EQ(flat.memoryBytes(), std::size_t{0});
     Rng rng(1);
     flat.insert(1, Embedding(randomUnitVec(kEmbeddingDim, rng)));
-    // One row + one id + one locator entry, nothing else.
+    // One float row + its fp16 shadow (2 * dim bytes) + its error term
+    // + one id + one locator entry, plus one error term per 256-slot
+    // block; nothing else.
     const std::size_t perEntry = kEmbeddingDim * sizeof(float) +
-        sizeof(std::uint64_t) +
-        locatorBytes(1, sizeof(std::size_t));
-    EXPECT_EQ(flat.memoryBytes(), perEntry);
+        kEmbeddingDim * sizeof(std::uint16_t) + sizeof(float) +
+        sizeof(std::uint64_t) + locatorBytes(1, sizeof(std::size_t));
+    const std::size_t perBlock = sizeof(float);
+    EXPECT_EQ(flat.memoryBytes(), perEntry + perBlock);
     flat.insert(2, Embedding(randomUnitVec(kEmbeddingDim, rng)));
-    EXPECT_EQ(flat.memoryBytes(), 2 * perEntry);
+    EXPECT_EQ(flat.memoryBytes(), 2 * perEntry + perBlock);
     flat.remove(1);
-    EXPECT_EQ(flat.memoryBytes(), perEntry);
+    EXPECT_EQ(flat.memoryBytes(), perEntry + perBlock);
+    flat.remove(2);
+    EXPECT_EQ(flat.memoryBytes(), std::size_t{0});
 
     RetrievalBackendConfig ivfConfig;
     ivfConfig.kind = RetrievalBackend::Ivf;
@@ -792,6 +803,297 @@ TEST(VectorIndexMemory, FlatAndIvfAccountExactly)
         ivf.nlist() * kEmbeddingDim * sizeof(float) +
         locatorBytes(1000, 2 * sizeof(std::size_t));
     EXPECT_EQ(ivf.memoryBytes(), expected);
+}
+
+/** Restore the auto-selected kernel tier when a test forced one. */
+class ScopedTier
+{
+  public:
+    ScopedTier() : saved_(kernels::active().tier) {}
+    ~ScopedTier() { kernels::setTier(saved_); }
+
+  private:
+    kernels::Tier saved_;
+};
+
+/**
+ * best() and topK() for several k against the exhaustive oracle, on
+ * the serial scan and on the sharded one (three shards, threshold 0).
+ */
+void
+expectOracleAgrees(const ReferenceIndex &oracle, FlatIndex &flat,
+                   const Embedding &query, const std::string &what)
+{
+    const Match expectedBest = oracle.best(query);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+        flat.setParallelism(shards);
+        flat.setParallelThreshold(
+            shards == 1 ? FlatIndex::kDefaultParallelThreshold : 0);
+        const std::string where = what + " shards " + std::to_string(shards);
+        const Match best = flat.best(query);
+        EXPECT_EQ(expectedBest.id, best.id) << where;
+        EXPECT_EQ(expectedBest.similarity, best.similarity) << where;
+        for (const std::size_t k :
+             {std::size_t{1}, std::size_t{7}, std::size_t{300}}) {
+            expectSameMatches(oracle.topK(query, k), flat.topK(query, k),
+                              (where + " k " + std::to_string(k)).c_str());
+        }
+    }
+    flat.setParallelism(1);
+    flat.setParallelThreshold(FlatIndex::kDefaultParallelThreshold);
+}
+
+TEST(FlatIndexPrefilter, LastUlpDuplicatesAndExactTiesMatchTheExhaustiveScan)
+{
+    constexpr std::size_t kDim = kEmbeddingDim;
+    Rng rng(404);
+    ReferenceIndex oracle(kDim);
+    FlatIndex flat(kDim);
+    const Vec base = randomUnitVec(kDim, rng);
+    // 600 rows over three prefilter blocks: exact copies of `base`
+    // (ties across slots and blocks), copies one ulp above or below it
+    // in one element (identical fp16 shadows, distinct double
+    // scores), and near neighbours.
+    for (std::uint64_t id = 0; id < 600; ++id) {
+        Vec row = base;
+        const std::size_t e = id % kDim;
+        switch (id % 4) {
+        case 1:
+            row[e] = std::nextafter(row[e], 2.0f);
+            break;
+        case 2:
+            row[e] = std::nextafter(row[e], -2.0f);
+            break;
+        case 3:
+            row = jitterUnitVec(base, 0.05, rng);
+            break;
+        default:
+            break;
+        }
+        oracle.insertRow(id, row.data());
+        flat.insertRow(id, row.data());
+    }
+    for (std::size_t q = 0; q < 20; ++q) {
+        const Embedding query(q == 0 ? base
+                                     : jitterUnitVec(base, 0.02 * q, rng));
+        expectOracleAgrees(oracle, flat, query,
+                           "ulp duplicates q " + std::to_string(q));
+    }
+}
+
+TEST(FlatIndexPrefilter, KeepsTheWinnerWhenRoundingReversesThePrefilterOrder)
+{
+    // The worst case of the bound, built by hand. A's one element
+    // rounds down by almost 2^-11 relative and B's rounds up by as
+    // much, so under a query weighting A's axis 1 + 2^-11 times B's,
+    // A wins the exact scan by ~2^-11 and loses the fp16 prefilter by
+    // as much. Only a bound at least ~0.35x the certified one keeps A:
+    // a prefilter that trusts its order, or charges too little error,
+    // returns B.
+    constexpr std::size_t kDim = kEmbeddingDim;
+    const float t = std::ldexp(1.0f, -20);
+    Vec a(kDim, 0.0f);
+    Vec b(kDim, 0.0f);
+    a[0] = 1.0f + std::ldexp(1.0f, -11) - t;
+    b[1] = 1.0f + std::ldexp(1.0f, -11) + t;
+    Vec dir(kDim, 0.0f);
+    dir[0] = 1.0f + std::ldexp(1.0f, -11);
+    dir[1] = 1.0f;
+    const Embedding query(dir);
+    const float *q = query.vec().data();
+    ASSERT_GT(kernels::dot(q, a.data(), kDim),
+              kernels::dot(q, b.data(), kDim));
+    ASSERT_LT(q[0] * kernels::decodeHalf(kernels::encodeHalf(a[0])),
+              q[1] * kernels::decodeHalf(kernels::encodeHalf(b[1])));
+
+    // B raises the cut before A is scanned: in A's block, and in an
+    // earlier block. Unit filler rows orthogonal to the query (an
+    // exact 0) pad the slots between.
+    Vec filler(kDim, 0.0f);
+    filler[5] = 1.0f;
+    for (const std::size_t gap : {std::size_t{1}, std::size_t{300}}) {
+        ReferenceIndex oracle(kDim);
+        FlatIndex flat(kDim);
+        std::uint64_t id = 0;
+        const auto add = [&](const Vec &row) {
+            oracle.insertRow(id, row.data());
+            flat.insertRow(id++, row.data());
+        };
+        add(b);
+        for (std::size_t i = 1; i < gap; ++i)
+            add(filler);
+        add(a);
+        EXPECT_EQ(flat.best(query).id, gap) << "gap " << gap;
+        expectOracleAgrees(oracle, flat, query,
+                           "adversarial gap " + std::to_string(gap));
+    }
+}
+
+TEST(FlatIndexPrefilter, SubnormalNonUnitAndOverflowRowsMatchTheExhaustiveScan)
+{
+    constexpr std::size_t kDim = kEmbeddingDim;
+    Rng rng(405);
+    const auto odd = [&](std::size_t i, std::size_t kind) {
+        Vec row = randomUnitVec(kDim, rng);
+        switch (kind) {
+        case 1: // non-unit, inside the fp16 range
+            for (auto &x : row)
+                x *= 1000.0f;
+            break;
+        case 2: // non-unit, small
+            for (auto &x : row)
+                x *= 1e-3f;
+            break;
+        case 3: // every element an fp16 subnormal
+            for (auto &x : row)
+                x *= 1e-5f;
+            break;
+        case 4: // float subnormals and values that round to fp16 zero
+            for (std::size_t e = 0; e < kDim; e += 2)
+                row[e] = (e % 4 ? 3e-8f : 1e-40f) * (row[e] < 0 ? -1 : 1);
+            break;
+        case 5: // fp16 overflow
+            row[i % kDim] = (i % 2 ? 70000.0f : -1e5f);
+            break;
+        case 6: // just above the largest half, which the shadow saturates
+            row[i % kDim] = (i % 2 ? 65519.0f : -65504.5f);
+            break;
+        default:
+            break;
+        }
+        return row;
+    };
+    // Mixed: every kind in one index, so odd rows compete with unit
+    // ones inside the same blocks. Tiny: only the rows whose errors are
+    // dominated by the subnormal term.
+    for (const bool tinyOnly : {false, true}) {
+        ReferenceIndex oracle(kDim);
+        FlatIndex flat(kDim);
+        std::vector<Vec> rows;
+        for (std::uint64_t id = 0; id < 700; ++id) {
+            const std::size_t kind = tinyOnly ? 3 + id % 2 : id % 7;
+            rows.push_back(odd(id, kind));
+            oracle.insertRow(id, rows.back().data());
+            flat.insertRow(id, rows.back().data());
+        }
+        for (std::size_t q = 0; q < 30; ++q) {
+            // Random directions, and directions of stored rows (which
+            // favour the huge and the saturated ones).
+            const Vec dir = q % 2 ? randomUnitVec(kDim, rng)
+                                  : rows[rng.uniformInt(rows.size())];
+            expectOracleAgrees(oracle, flat, Embedding(dir),
+                               std::string(tinyOnly ? "tiny" : "mixed") +
+                                   " q " + std::to_string(q));
+        }
+    }
+}
+
+TEST(FlatIndexPrefilter, EmptyIndexAndSwapRemoveChurnMatchTheExhaustiveScan)
+{
+    constexpr std::size_t kDim = kEmbeddingDim;
+    Rng rng(406);
+    ReferenceIndex oracle(kDim);
+    FlatIndex flat(kDim);
+    const Embedding probe(randomUnitVec(kDim, rng));
+    EXPECT_EQ(flat.best(probe).similarity, Match{}.similarity);
+    EXPECT_TRUE(flat.topK(probe, 5).empty());
+
+    // Churn across block boundaries; an overflow row now and then
+    // makes its block's error term infinite until it leaves, and
+    // swap-remove must carry every row's term with it.
+    const auto centers = makeCenters(12, 406);
+    std::vector<std::uint64_t> live;
+    std::uint64_t nextId = 0;
+    for (std::size_t step = 0; step < 6000; ++step) {
+        if (live.size() > 900 || (live.size() > 300 && rng.bernoulli(0.4))) {
+            const std::size_t pick = rng.uniformInt(live.size());
+            const std::uint64_t id = live[pick];
+            live[pick] = live.back();
+            live.pop_back();
+            oracle.remove(id);
+            ASSERT_TRUE(flat.remove(id));
+        } else {
+            Vec row = clusteredEmbedding(centers, rng).vec();
+            if (nextId % 97 == 0)
+                row[nextId % kDim] = 1e6f;
+            oracle.insertRow(nextId, row.data());
+            flat.insertRow(nextId, row.data());
+            live.push_back(nextId++);
+        }
+        if (step % 500 == 499) {
+            const Embedding query = clusteredEmbedding(centers, rng);
+            expectOracleAgrees(oracle, flat, query,
+                               "churn step " + std::to_string(step));
+        }
+    }
+    for (const std::uint64_t id : live) {
+        oracle.remove(id);
+        ASSERT_TRUE(flat.remove(id));
+    }
+    EXPECT_EQ(flat.size(), std::size_t{0});
+    EXPECT_EQ(flat.memoryBytes(), std::size_t{0});
+    EXPECT_EQ(flat.best(probe).similarity, Match{}.similarity);
+    EXPECT_TRUE(flat.topK(probe, 5).empty());
+}
+
+TEST(FlatIndexPrefilter, SeededPropertyHoldsSerialAndShardedOnEveryTier)
+{
+    ScopedTier guard;
+    for (const kernels::Tier tier :
+         {kernels::Tier::Scalar, kernels::Tier::Unrolled,
+          kernels::Tier::Avx2}) {
+        if (!kernels::setTier(tier))
+            continue; // avx2 is absent on this CPU
+        const std::string name = kernels::tierName(tier);
+        Rng rng(2026);
+        const auto centers = makeCenters(24, 7);
+        ReferenceIndex oracle(kEmbeddingDim);
+        FlatIndex flat(kEmbeddingDim);
+        std::vector<std::uint64_t> live;
+        std::uint64_t nextId = 0;
+        Embedding last;
+        for (std::size_t step = 0; step < 2500; ++step) {
+            if (live.size() > 200 && rng.bernoulli(0.3)) {
+                const std::size_t pick = rng.uniformInt(live.size());
+                oracle.remove(live[pick]);
+                ASSERT_TRUE(flat.remove(live[pick]));
+                live[pick] = live.back();
+                live.pop_back();
+            } else {
+                // Every tenth insert repeats the previous row exactly.
+                if (nextId % 10 != 9 || !last.valid())
+                    last = clusteredEmbedding(centers, rng);
+                oracle.insert(nextId, last);
+                flat.insert(nextId, last);
+                live.push_back(nextId++);
+            }
+        }
+        for (std::size_t q = 0; q < 40; ++q) {
+            const Embedding query =
+                q % 4 == 0 ? Embedding(randomUnitVec(kEmbeddingDim, rng))
+                           : clusteredEmbedding(centers, rng);
+            expectOracleAgrees(oracle, flat, query,
+                               name + " q " + std::to_string(q));
+        }
+    }
+}
+
+TEST(FlatIndexDeathTest, RejectsNonFiniteElements)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // A NaN row scored NaN against every query, and `score > NaN` is
+    // never true: slot 0 won every best() and topK ranked it first.
+    FlatIndex flat(4);
+    const float nanRow[4] = {0.5f, std::numeric_limits<float>::quiet_NaN(),
+                             0.5f, 0.5f};
+    EXPECT_DEATH(flat.insertRow(1, nanRow), "id 1 element 1 is not finite");
+    const float infRow[4] = {std::numeric_limits<float>::infinity(), 0.0f,
+                             0.0f, 0.0f};
+    EXPECT_DEATH(flat.insertRow(2, infRow), "id 2 element 0 is not finite");
+    Vec features(kEmbeddingDim, 1.0f);
+    features[3] = std::numeric_limits<float>::quiet_NaN();
+    FlatIndex index;
+    EXPECT_DEATH(index.insert(7, Embedding(features)), "not finite");
 }
 
 TEST(VectorIndexFactory, BuildsConfiguredBackend)

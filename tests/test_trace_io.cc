@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "src/workload/scenario.hh"
 #include "src/workload/trace_io.hh"
@@ -155,7 +156,68 @@ TEST(TraceIoDeath, RejectsTruncatedRow)
     std::stringstream buffer;
     buffer << "arrival,prompt_id,topic_id,user_id,session_id,text,"
               "visual,lexical\n1.0,2,3\n";
-    EXPECT_DEATH(loadTrace(buffer), "malformed trace row");
+    EXPECT_DEATH(loadTrace(buffer), "trace line 2: malformed trace row");
+}
+
+/** A header, one good row on line 2, then `row` on line 3. */
+std::string
+traceWithThirdLine(const std::string &row)
+{
+    return "arrival,prompt_id,topic_id,user_id,session_id,text,visual,"
+           "lexical\n"
+           "1.0,2,3,4,5,\"ok\",0.5;0.25,0.5\n" +
+        row + "\n";
+}
+
+void
+expectFieldDeath(const std::string &row, const std::string &message)
+{
+    std::stringstream plain(traceWithThirdLine(row));
+    EXPECT_DEATH(loadTrace(plain), message);
+    std::stringstream annotated(traceWithThirdLine(row));
+    EXPECT_DEATH(loadAnnotatedTrace(annotated), message);
+}
+
+TEST(TraceIoDeath, RejectsGarbageTokensWithLineAndField)
+{
+    // std::stoull used to throw an uncaught exception here.
+    expectFieldDeath("2.0,abc,3,4,5,\"x\",0.5,0.5",
+                     "trace line 3: field prompt_id: expected an unsigned "
+                     "64-bit integer, got \"abc\"");
+    expectFieldDeath("2.0,7,3,4,5,\"x\",0.5;zz,0.5",
+                     "trace line 3: field visual: .*got \"zz\"");
+}
+
+TEST(TraceIoDeath, RejectsNonFiniteValues)
+{
+    expectFieldDeath("nan,7,3,4,5,\"x\",0.5,0.5",
+                     "trace line 3: field arrival: expected a finite "
+                     "number, got \"nan\"");
+    expectFieldDeath("2.0,7,3,4,5,\"x\",0.5;inf,0.5",
+                     "trace line 3: field visual: .*got \"inf\"");
+    expectFieldDeath("2.0,7,3,4,5,\"x\",0.5,1e999",
+                     "trace line 3: field lexical: .*got \"1e999\"");
+}
+
+TEST(TraceIoDeath, RejectsTrailingJunk)
+{
+    // std::stod("1.5x") used to read 1.5 and drop the rest.
+    expectFieldDeath("1.5x,7,3,4,5,\"x\",0.5,0.5",
+                     "trace line 3: field arrival: .*got \"1.5x\"");
+    expectFieldDeath("2.0,7,3,4,5,\"x\",0.5,0.5;0.25q",
+                     "trace line 3: field lexical: .*got \"0.25q\"");
+}
+
+TEST(TraceIoDeath, RejectsNegativeAndOutOfRangeIds)
+{
+    // std::stoul("-1") used to wrap to the largest id.
+    expectFieldDeath("2.0,7,-1,4,5,\"x\",0.5,0.5",
+                     "trace line 3: field topic_id: expected an unsigned "
+                     "32-bit integer, got \"-1\"");
+    expectFieldDeath("2.0,7,3,4294967296,5,\"x\",0.5,0.5",
+                     "trace line 3: field user_id: .*got \"4294967296\"");
+    expectFieldDeath("2.0,7,3,4,-5,\"x\",0.5,0.5",
+                     "trace line 3: field session_id: .*got \"-5\"");
 }
 
 } // namespace

@@ -461,7 +461,7 @@ runScalePass()
         // at 1M rows the ~7.8k-row near-tie clusters need ef in the
         // hundreds before the beam reliably reaches the argmax (96
         // recalls only ~0.74 there; 768 measures 1.000 at the same
-        // density). Still ~25x faster than the serial flat scan.
+        // density). Still ~7x faster than the serial flat scan.
         hnsw.efSearch = 768;
         const auto hnswResult = approxCell(hnsw, "HNSW/M=16/ef=768");
 

@@ -61,7 +61,7 @@ BENCHMARK(BM_IndexRetrieval)->Arg(1000)->Arg(10000)->Arg(100000);
  * scale_steady): 10k 64-dim rows jittered around topic centers,
  * queried by prompts near cached ones, so the best match scores
  * 0.8-0.99 (the `top_sim` counter reports the mean). A clear winner
- * lets FlatIndex's fp16 prefilter discard all but a few rows.
+ * lets FlatIndex's int8 prefilter discard all but a few rows.
  */
 void
 BM_IndexRetrievalClustered(benchmark::State &state)

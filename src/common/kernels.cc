@@ -1,10 +1,10 @@
 #include "src/common/kernels.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
+
+#include "src/common/log.hh"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define MODM_KERNELS_X86 1
@@ -102,35 +102,37 @@ gather8Unrolled(const float *q, const float *const *rows, std::size_t n,
 }
 
 // ---------------------------------------------------------------------
-// fp16 prefilter, portable form (the scalar and unrolled tiers). Eight
-// independent float stripes keep the loop free of a serial dependency
-// chain; decodeHalf is branchless, so the compiler may vectorize it.
+// int8 prefilter, portable form (the scalar and unrolled tiers): a plain
+// int32 loop, which compilers vectorize at baseline SSE2. Integer sums
+// are exact, so every tier returns the same scores.
 // ---------------------------------------------------------------------
 
-float
-dotHalfPortable(const float *q, const std::uint16_t *row, std::size_t n)
+std::int32_t
+dotInt8(const std::int8_t *q, const std::int8_t *row, std::size_t n)
 {
-    float acc[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        for (std::size_t j = 0; j < 8; ++j)
-            acc[j] += q[i + j] * decodeHalf(row[i + j]);
-    }
-    float sum = ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-        ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    for (; i < n; ++i)
-        sum += q[i] * decodeHalf(row[i]);
-    return sum;
+    std::int32_t acc = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        acc += static_cast<std::int32_t>(q[i]) * row[i];
+    return acc;
+}
+
+/** The prefilter score of one int32 sum: (float(sum) * sx) * sq. */
+float
+scaleInt8(std::int32_t sum, float rowScale, float queryScale)
+{
+    return (static_cast<float>(sum) * rowScale) * queryScale;
 }
 
 float
-halfBatchPortable(const float *q, const std::uint16_t *rows,
+int8BatchPortable(const std::int8_t *q, float qScale,
+                  const std::int8_t *rows, const float *rowScale,
                   std::size_t stride, std::size_t count, std::size_t n,
                   float *out)
 {
     float best = -std::numeric_limits<float>::infinity();
     for (std::size_t r = 0; r < count; ++r) {
-        out[r] = dotHalfPortable(q, rows + r * stride, n);
+        out[r] = scaleInt8(dotInt8(q, rows + r * stride, n), rowScale[r],
+                           qScale);
         best = std::max(best, out[r]);
     }
     return best;
@@ -229,105 +231,111 @@ gather8Avx2(const float *q, const float *const *rows, std::size_t n,
     }
 }
 
-// The prefilter's AVX2 form: F16C widens 8 halves to floats, one float
-// FMA per 8 elements and row, 8 rows per block. The eight accumulators
-// are named, not an array: GCC keeps an indexed __m256 array on the
-// stack, which measured 2x slower. They reduce through a hadd
-// transpose to one vector of eight sums, whose maximum is the return
-// value. Rows are half the bytes of the float slab, and the prefetch
-// walks the next block at the rate the current one is consumed.
-__attribute__((target("avx2,fma,f16c"))) inline __m256
-fmaHalf(const std::uint16_t *row, __m256 q, __m256 acc)
+// The prefilter's AVX2 form. maddubs multiplies unsigned by signed
+// bytes, so sign_epi8 moves the query's sign onto the row (a zero
+// where Q_i is 0) and the query enters as |Q|. maddubs adds adjacent
+// products into int16 lanes (at most 2 * 127^2 = 32258, so it never
+// saturates) and madd against ones widens pairs of those into int32.
+// Eight rows per block, with named accumulators (GCC keeps an indexed
+// vector array on the stack), reduce through a hadd transpose to one
+// vector of eight exact sums; it is scaled as the portable form scales
+// it, so the scores match bit for bit. The prefetch walks the next
+// block at the rate the current one is consumed.
+__attribute__((target("avx2"), always_inline)) inline __m256i
+maddInt8(const std::int8_t *row, __m256i absQ, __m256i signQ, __m256i acc)
 {
-    const __m128i h =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(row));
-    return _mm256_fmadd_ps(_mm256_cvtph_ps(h), q, acc);
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(row));
+    const __m256i pairs =
+        _mm256_maddubs_epi16(absQ, _mm256_sign_epi8(x, signQ));
+    return _mm256_add_epi32(acc,
+                            _mm256_madd_epi16(pairs, _mm256_set1_epi16(1)));
 }
 
-__attribute__((target("avx2,fma,f16c"), always_inline)) inline float
-half8Avx2(const float *q, const std::uint16_t *rows, std::size_t stride,
-          const std::uint16_t *next, std::size_t n, float *out)
+/** The int32 sums of elements [i, n) of eight rows: the part of a
+ *  row shorter than one 32-byte step. Kept out of line, since only
+ *  dims that are not a multiple of 32 reach it. */
+__attribute__((target("avx2"), noinline)) __m256i
+int8Tail8(const std::int8_t *q, const std::int8_t *rows, std::size_t stride,
+          std::size_t i, std::size_t n)
 {
-    __m256 a0 = _mm256_setzero_ps();
-    __m256 a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0, a6 = a0, a7 = a0;
+    alignas(32) std::int32_t tail[8];
+    for (std::size_t r = 0; r < 8; ++r)
+        tail[r] = dotInt8(q + i, rows + r * stride + i, n - i);
+    return _mm256_load_si256(reinterpret_cast<const __m256i *>(tail));
+}
+
+__attribute__((target("avx2"), always_inline)) inline float
+int8x8Avx2(const std::int8_t *q, __m256 qScale, const std::int8_t *rows,
+           const float *rowScale, std::size_t stride,
+           const std::int8_t *next, std::size_t n, float *out)
+{
+    __m256i a0 = _mm256_setzero_si256();
+    __m256i a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0, a6 = a0, a7 = a0;
     std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 vq = _mm256_loadu_ps(q + i);
+    for (; i + 32 <= n; i += 32) {
+        const __m256i vq =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(q + i));
+        const __m256i absQ = _mm256_abs_epi8(vq);
         if (next) {
-            // 8 rows x 16 bytes consumed per step; fetch 128 bytes
-            // of the next block.
-            _mm_prefetch(reinterpret_cast<const char *>(next + i * 8),
-                         _MM_HINT_T0);
-            _mm_prefetch(
-                reinterpret_cast<const char *>(next + i * 8 + 32),
-                _MM_HINT_T0);
+            // 8 rows x 32 bytes consumed per step; fetch 256 bytes of
+            // the next block.
+            for (std::size_t line = 0; line < 256; line += 64) {
+                _mm_prefetch(reinterpret_cast<const char *>(next + i * 8 +
+                                                             line),
+                             _MM_HINT_T0);
+            }
         }
-        const std::uint16_t *row = rows + i;
-        a0 = fmaHalf(row, vq, a0);
-        a1 = fmaHalf(row + stride, vq, a1);
-        a2 = fmaHalf(row + 2 * stride, vq, a2);
-        a3 = fmaHalf(row + 3 * stride, vq, a3);
-        a4 = fmaHalf(row + 4 * stride, vq, a4);
-        a5 = fmaHalf(row + 5 * stride, vq, a5);
-        a6 = fmaHalf(row + 6 * stride, vq, a6);
-        a7 = fmaHalf(row + 7 * stride, vq, a7);
+        const std::int8_t *row = rows + i;
+        a0 = maddInt8(row, absQ, vq, a0);
+        a1 = maddInt8(row + stride, absQ, vq, a1);
+        a2 = maddInt8(row + 2 * stride, absQ, vq, a2);
+        a3 = maddInt8(row + 3 * stride, absQ, vq, a3);
+        a4 = maddInt8(row + 4 * stride, absQ, vq, a4);
+        a5 = maddInt8(row + 5 * stride, absQ, vq, a5);
+        a6 = maddInt8(row + 6 * stride, absQ, vq, a6);
+        a7 = maddInt8(row + 7 * stride, absQ, vq, a7);
     }
-    const __m256 u0 = _mm256_hadd_ps(_mm256_hadd_ps(a0, a1),
-                                     _mm256_hadd_ps(a2, a3));
-    const __m256 u1 = _mm256_hadd_ps(_mm256_hadd_ps(a4, a5),
-                                     _mm256_hadd_ps(a6, a7));
+    const __m256i u0 = _mm256_hadd_epi32(_mm256_hadd_epi32(a0, a1),
+                                         _mm256_hadd_epi32(a2, a3));
+    const __m256i u1 = _mm256_hadd_epi32(_mm256_hadd_epi32(a4, a5),
+                                         _mm256_hadd_epi32(a6, a7));
     // u0 = rows 0-3 over lanes 0-3 | rows 0-3 over lanes 4-7; u1 the
     // same for rows 4-7. Pair the 128-bit halves and add.
-    const __m256 sums =
-        _mm256_add_ps(_mm256_permute2f128_ps(u0, u1, 0x20),
-                      _mm256_permute2f128_ps(u0, u1, 0x31));
-    _mm256_storeu_ps(out, sums);
-    if (i < n) {
-        float best = -std::numeric_limits<float>::infinity();
-        for (int r = 0; r < 8; ++r) {
-            for (std::size_t j = i; j < n; ++j)
-                out[r] += q[j] * decodeHalf(rows[r * stride + j]);
-            best = std::max(best, out[r]);
-        }
-        return best;
-    }
-    __m128 m = _mm_max_ps(_mm256_castps256_ps128(sums),
-                          _mm256_extractf128_ps(sums, 1));
+    __m256i sums =
+        _mm256_add_epi32(_mm256_permute2x128_si256(u0, u1, 0x20),
+                         _mm256_permute2x128_si256(u0, u1, 0x31));
+    if (i < n)
+        sums = _mm256_add_epi32(sums, int8Tail8(q, rows, stride, i, n));
+    const __m256 scores = _mm256_mul_ps(
+        _mm256_mul_ps(_mm256_cvtepi32_ps(sums), _mm256_loadu_ps(rowScale)),
+        qScale);
+    _mm256_storeu_ps(out, scores);
+    __m128 m = _mm_max_ps(_mm256_castps256_ps128(scores),
+                          _mm256_extractf128_ps(scores, 1));
     m = _mm_max_ps(m, _mm_movehl_ps(m, m));
     m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
     return _mm_cvtss_f32(m);
 }
 
-__attribute__((target("avx2,fma,f16c"))) float
-dotHalfAvx2(const float *q, const std::uint16_t *row, std::size_t n)
+__attribute__((target("avx2"))) float
+int8BatchAvx2(const std::int8_t *q, float qScale, const std::int8_t *rows,
+              const float *rowScale, std::size_t stride, std::size_t count,
+              std::size_t n, float *out)
 {
-    __m256 acc = _mm256_setzero_ps();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        acc = fmaHalf(row + i, _mm256_loadu_ps(q + i), acc);
-    alignas(32) float l[8];
-    _mm256_store_ps(l, acc);
-    float sum = ((l[0] + l[1]) + (l[2] + l[3])) +
-        ((l[4] + l[5]) + (l[6] + l[7]));
-    for (; i < n; ++i)
-        sum += q[i] * decodeHalf(row[i]);
-    return sum;
-}
-
-__attribute__((target("avx2,fma,f16c"))) float
-halfBatchAvx2(const float *q, const std::uint16_t *rows, std::size_t stride,
-              std::size_t count, std::size_t n, float *out)
-{
+    const __m256 vScale = _mm256_set1_ps(qScale);
     float best = -std::numeric_limits<float>::infinity();
     std::size_t r = 0;
     for (; r + 8 <= count; r += 8) {
-        const std::uint16_t *next =
+        const std::int8_t *next =
             r + 16 <= count ? rows + (r + 8) * stride : nullptr;
-        best = std::max(best, half8Avx2(q, rows + r * stride, stride,
-                                        next, n, out + r));
+        best = std::max(best, int8x8Avx2(q, vScale, rows + r * stride,
+                                         rowScale + r, stride, next, n,
+                                         out + r));
     }
     for (; r < count; ++r) {
-        out[r] = dotHalfAvx2(q, rows + r * stride, n);
+        out[r] = scaleInt8(dotInt8(q, rows + r * stride, n), rowScale[r],
+                           qScale);
         best = std::max(best, out[r]);
     }
     return best;
@@ -346,19 +354,20 @@ struct Ops
                  const float *, std::size_t, double *);
     void (*gather8)(const float *, const float *const *, std::size_t,
                     double *);
-    float (*halfBatch)(const float *, const std::uint16_t *, std::size_t,
-                       std::size_t, std::size_t, float *);
+    float (*int8Batch)(const std::int8_t *, float, const std::int8_t *,
+                       const float *, std::size_t, std::size_t, std::size_t,
+                       float *);
 };
 
 const Ops &
 opsFor(Tier tier)
 {
     static const Ops scalar{dotScalar, dot8Scalar, gather8Scalar,
-                            halfBatchPortable};
+                            int8BatchPortable};
     static const Ops unrolled{dotUnrolled, dot8Unrolled, gather8Unrolled,
-                              halfBatchPortable};
+                              int8BatchPortable};
 #ifdef MODM_KERNELS_X86
-    static const Ops avx2{dotAvx2, dot8Avx2, gather8Avx2, halfBatchAvx2};
+    static const Ops avx2{dotAvx2, dot8Avx2, gather8Avx2, int8BatchAvx2};
 #endif
     switch (tier) {
     case Tier::Scalar:
@@ -393,30 +402,9 @@ State
 initState()
 {
     State s;
-    s.tier = autoTier();
-    if (const char *env = std::getenv("MODM_KERNEL")) {
-        bool known = false;
-        for (const Tier t : {Tier::Scalar, Tier::Unrolled, Tier::Avx2}) {
-            if (std::strcmp(env, tierName(t)) != 0)
-                continue;
-            known = true;
-            if (tierAvailable(t)) {
-                s.tier = t;
-                s.fromEnv = true;
-            } else {
-                std::fprintf(stderr,
-                             "[kernels] MODM_KERNEL=%s unavailable on "
-                             "this build/CPU; using %s\n",
-                             env, tierName(s.tier));
-            }
-            break;
-        }
-        if (!known) {
-            std::fprintf(stderr,
-                         "[kernels] unknown MODM_KERNEL=%s; using %s\n",
-                         env, tierName(s.tier));
-        }
-    }
+    const char *env = std::getenv("MODM_KERNEL");
+    s.tier = tierFromEnv(env);
+    s.fromEnv = env != nullptr && env[0] != '\0';
     return s;
 }
 
@@ -426,6 +414,11 @@ state()
     static State s = initState();
     return s;
 }
+
+// Resolve MODM_KERNEL during static initialization, while the program
+// is still single-threaded: a fatal() from the first scan on a pool
+// thread would run exit() under live workers and hang.
+[[maybe_unused]] const State &kStartupState = state();
 
 /** Rows per scoring block in topKBatch/bestBatch. */
 constexpr std::size_t kScoreBlock = 256;
@@ -446,6 +439,34 @@ tierName(Tier tier)
     return "unrolled";
 }
 
+std::optional<Tier>
+parseTier(std::string_view name)
+{
+    for (const Tier tier : {Tier::Scalar, Tier::Unrolled, Tier::Avx2}) {
+        if (name == tierName(tier))
+            return tier;
+    }
+    return std::nullopt;
+}
+
+Tier
+tierFromEnv(const char *value)
+{
+    if (value == nullptr || value[0] == '\0')
+        return autoTier();
+    const std::optional<Tier> tier = parseTier(value);
+    if (!tier) {
+        fatal("MODM_KERNEL=%s: unknown kernel tier (expected scalar, "
+              "unrolled or avx2)",
+              value);
+    }
+    if (!tierAvailable(*tier)) {
+        fatal("MODM_KERNEL=%s: tier not available on this build/CPU",
+              value);
+    }
+    return *tier;
+}
+
 bool
 tierAvailable(Tier tier)
 {
@@ -455,9 +476,11 @@ tierAvailable(Tier tier)
         return true;
     case Tier::Avx2:
 #ifdef MODM_KERNELS_X86
+        // Static initialization may ask before libgcc's constructor
+        // has filled in the CPU model.
+        __builtin_cpu_init();
         return __builtin_cpu_supports("avx2") &&
-            __builtin_cpu_supports("fma") &&
-            __builtin_cpu_supports("f16c");
+            __builtin_cpu_supports("fma");
 #else
         return false;
 #endif
@@ -526,49 +549,14 @@ dotGather(const float *query, const float *const *rows,
         out[r] = ops.dot1(query, rows[r], n);
 }
 
-std::uint16_t
-encodeHalf(float value)
-{
-    std::uint32_t x = 0;
-    std::memcpy(&x, &value, sizeof x);
-    const auto sign = static_cast<std::uint16_t>((x >> 16) & 0x8000u);
-    const std::uint32_t ax = x & 0x7fffffffu;
-    if (ax > 0x7f800000u)
-        return sign | 0x7e00u; // NaN stays a (quiet) NaN
-    if (ax == 0x7f800000u)
-        return sign | 0x7c00u; // infinity
-    if (ax >= 0x477fe000u)
-        return sign | 0x7bffu; // |value| >= 65504 saturates
-    if (ax < 0x38800000u) {
-        // Below 2^-14: an fp16 subnormal in units of 2^-24, or zero.
-        // |value| <= 2^-25 rounds to zero (the tie goes to even 0).
-        if (ax <= 0x33000000u)
-            return sign;
-        const std::uint32_t mant = (ax & 0x7fffffu) | 0x800000u;
-        const std::uint32_t shift = 126u - (ax >> 23); // 14..24
-        std::uint32_t h = mant >> shift;
-        const std::uint32_t rem = mant & ((1u << shift) - 1u);
-        const std::uint32_t halfway = 1u << (shift - 1u);
-        if (rem > halfway || (rem == halfway && (h & 1u)))
-            ++h;
-        return static_cast<std::uint16_t>(sign | h);
-    }
-    // Normal: rebias the exponent (127 -> 15) and round the mantissa
-    // from 23 to 10 bits; a carry rolls into the exponent correctly.
-    std::uint32_t h = (ax >> 13) - (112u << 10);
-    const std::uint32_t rem = ax & 0x1fffu;
-    if (rem > 0x1000u || (rem == 0x1000u && (h & 1u)))
-        ++h;
-    return static_cast<std::uint16_t>(sign | h);
-}
-
 float
-dotHalfBatch(const float *query, const std::uint16_t *rows,
+dotInt8Batch(const std::int8_t *query, float queryScale,
+             const std::int8_t *rows, const float *rowScale,
              std::size_t stride, std::size_t count, std::size_t n,
              float *out)
 {
-    return opsFor(state().tier).halfBatch(query, rows, stride, count, n,
-                                          out);
+    return opsFor(state().tier)
+        .int8Batch(query, queryScale, rows, rowScale, stride, count, n, out);
 }
 
 std::vector<Scored>

@@ -10,7 +10,7 @@
  *   scalar    4-stripe double accumulation, naive inner loop
  *   unrolled  the PR 5 4-way unrolled loop (modm::dot)
  *   avx2      FMA in double precision, 8 rows per block + software
- *             prefetch of the next block (needs avx2, fma and f16c)
+ *             prefetch of the next block (needs avx2 and fma)
  *
  * Determinism contract: scalar, unrolled, and avx2 produce BIT-IDENTICAL
  * sums. All three accumulate stripe j = elements i % 4 == j in i order,
@@ -22,20 +22,17 @@
  * tier, and the CI kernels job diffs MODM_KERNEL=scalar against the
  * default byte for byte.
  *
- * The fp16 prefilter (dotHalfBatch) is the one kernel outside that
- * contract. It scores fp16 shadow rows in float, and its sums may
- * differ by tier: the portable tiers keep 8 float stripes, avx2 uses
- * F16C and float FMA. Its callers never use its sums as a result.
- * FlatIndex only uses them to discard rows that a certified error
- * bound proves cannot win (docs/RETRIEVAL.md, "Exact fp16
- * prefilter"), and it re-scores the rest with the pinned double
- * kernel above. The retrieval results therefore do not depend on the
- * tier. The shadow bytes do not depend on it either: every tier
- * encodes with the one portable encodeHalf.
+ * The int8 prefilter (dotInt8Batch) sits outside that contract but
+ * needs none: it sums int8 codes in int32, which is exact, and scales
+ * each sum with two float multiplications, so its scores are the same
+ * on every tier. Its callers never use them as a result. FlatIndex
+ * only uses them to discard rows that a certified error bound proves
+ * cannot win (docs/RETRIEVAL.md, "Exact int8 prefilter"), and it
+ * re-scores the rest with the pinned double kernel above.
  *
- * MODM_KERNEL=scalar|unrolled|avx2 overrides auto-detection (unknown
- * or unavailable tiers fall back to auto with a stderr notice). The
- * avx2 tier needs AVX2, FMA and F16C.
+ * MODM_KERNEL=scalar|unrolled|avx2 overrides auto-detection (unset or
+ * empty keeps it); any other value, or a tier this build or CPU lacks,
+ * is a fatal error naming it. The avx2 tier needs AVX2 and FMA.
  */
 
 #ifndef MODM_COMMON_KERNELS_HH
@@ -43,7 +40,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 namespace modm::kernels {
@@ -67,6 +65,17 @@ struct KernelInfo
 
 /** Stable lowercase name for a tier. */
 const char *tierName(Tier tier);
+
+/** The tier a lowercase name selects; nullopt for any other string. */
+std::optional<Tier> parseTier(std::string_view name);
+
+/**
+ * The tier a MODM_KERNEL value selects: unset (nullptr) or empty keeps
+ * auto-detection. An unknown name or an unavailable tier is a fatal
+ * error that names the value, so a typo can never quietly run the
+ * auto tier.
+ */
+Tier tierFromEnv(const char *value);
 
 /** Compiled in AND supported by this CPU. */
 bool tierAvailable(Tier tier);
@@ -131,54 +140,21 @@ bool bestBatch(const float *query, const float *rows, std::size_t stride,
                std::size_t count, std::size_t n, std::size_t *slot,
                double *score);
 
-/** Largest finite fp16 value. */
-constexpr float kHalfMax = 65504.0f;
+/** Largest int8 code the prefilter uses; codes lie in [-127, 127]. */
+constexpr int kInt8Max = 127;
 
 /**
- * float -> IEEE binary16 bits, rounding to nearest even: the one
- * portable encoder every tier shares. Finite values beyond
- * +-kHalfMax saturate to +-kHalfMax instead of becoming infinity, so a
- * caller that flags such rows (FlatIndex treats their bound as
- * infinite) never feeds infinities to the prefilter.
- */
-std::uint16_t encodeHalf(float value);
-
-/**
- * binary16 bits -> float, exact for every finite half (normal and
- * subnormal); the result for an infinity or NaN half is unspecified.
- * Branchless: moving the 15 magnitude bits up by 13 gives a float
- * 2^112 times too small (a subnormal one for subnormal halves), and
- * the power-of-two scale restores it exactly.
- */
-inline float
-decodeHalf(std::uint16_t half)
-{
-    const std::uint32_t magBits = (half & 0x7fffu) << 13;
-    float mag = 0.0f;
-    std::memcpy(&mag, &magBits, sizeof mag);
-    mag *= 0x1p112f;
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &mag, sizeof bits);
-    bits |= (half & 0x8000u) << 16;
-    float out = 0.0f;
-    std::memcpy(&out, &bits, sizeof out);
-    return out;
-}
-
-/**
- * Prefilter scores: one query against `count` contiguous fp16 rows
- * (row r at rows + r * stride halves), decoded exactly and accumulated
- * in float. out[r] approximates the dot of the query with the decoded
- * row xhat. For an n-element row every tier keeps the accumulation
- * error within gamma_{n+4} * sum |q_i * xhat_i| + (n + 4) * 2^-149
- * (each element passes through at most n + 4 float roundings; the
- * second term covers underflow), which is what FlatIndex's bound
- * charges. The sums themselves may differ by tier. Returns the
+ * Prefilter scores: one int8 query code against `count` contiguous
+ * int8 rows (row r at rows + r * stride bytes; every code in
+ * [-kInt8Max, kInt8Max]). out[r] = (float(Q . X_r) * rowScale[r]) *
+ * queryScale, where Q . X_r is an int32 sum, exact while
+ * n * 127^2 < 2^31. Every tier returns the same bits. Returns the
  * largest out[r] (-infinity when count == 0).
  */
-float dotHalfBatch(const float *query, const std::uint16_t *rows,
-                  std::size_t stride, std::size_t count, std::size_t n,
-                  float *out);
+float dotInt8Batch(const std::int8_t *query, float queryScale,
+                   const std::int8_t *rows, const float *rowScale,
+                   std::size_t stride, std::size_t count, std::size_t n,
+                   float *out);
 
 } // namespace modm::kernels
 

@@ -91,7 +91,7 @@ BasicAlignedRows<T>::swapRemove(std::size_t slot)
 }
 
 template class BasicAlignedRows<float>;
-template class BasicAlignedRows<std::uint16_t>;
+template class BasicAlignedRows<std::int8_t>;
 
 // ------------------------------------------------------------- RowStore
 

@@ -10,8 +10,8 @@
  *   AlignedRows  dense slot-addressed storage for index scans: one
  *                buffer, rows at slot * stride, 64-byte aligned, with
  *                swap-remove compaction. This is what dotBatch /
- *                topKBatch stream over. HalfRows is the same slab over
- *                fp16 bit patterns (FlatIndex's prefilter shadow).
+ *                topKBatch stream over. Int8Rows is the same slab over
+ *                int8 codes (FlatIndex's prefilter shadow).
  *
  *   RowStore     chunked slab with STABLE row pointers plus a LIFO
  *                freelist, for caches: entries hand out `Slot` handles,
@@ -19,8 +19,8 @@
  *                RowSource::row() returns the slab pointer directly
  *                (zero-copy re-rank).
  *
- * Rows are padded to a 64-byte stride (16 floats, 32 halves) so every
- * row starts on a cache line; the pad elements are zeroed once and
+ * Rows are padded to a 64-byte stride (16 floats, 64 int8 codes) so
+ * every row starts on a cache line; the pad elements are zeroed once and
  * never read by the kernels (which score exactly `dim` elements), so
  * results are unchanged. At the embedding dims this repo uses (64,
  * 512) the stride equals the dim and the byte accounting is identical
@@ -53,7 +53,7 @@ alignedRowStride(std::size_t dim)
  * owns the slot-to-id mapping, exactly as with the flat vector this
  * replaces). Reallocation moves the buffer, so raw pointers are only
  * stable between mutations — index scans take them fresh per query.
- * Instantiated for float (AlignedRows) and std::uint16_t (HalfRows).
+ * Instantiated for float (AlignedRows) and std::int8_t (Int8Rows).
  */
 template <typename T>
 class BasicAlignedRows
@@ -114,7 +114,7 @@ class BasicAlignedRows
 };
 
 using AlignedRows = BasicAlignedRows<float>;
-using HalfRows = BasicAlignedRows<std::uint16_t>;
+using Int8Rows = BasicAlignedRows<std::int8_t>;
 
 /**
  * Chunked slab with stable pointers and freelist reuse. insert()

@@ -50,8 +50,11 @@ dot(const float *a, const float *b, std::size_t n)
     double acc1 = 0.0;
     double acc2 = 0.0;
     double acc3 = 0.0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    // Both loops run over explicit bounds: with one counter carried
+    // from the first loop into the second, GCC 12 inlining a constant n
+    // reports a bogus -Waggressive-loop-optimizations on the remainder.
+    const std::size_t whole = n - n % 4;
+    for (std::size_t i = 0; i < whole; i += 4) {
         acc0 += static_cast<double>(a[i]) * static_cast<double>(b[i]);
         acc1 += static_cast<double>(a[i + 1]) *
             static_cast<double>(b[i + 1]);
@@ -61,7 +64,7 @@ dot(const float *a, const float *b, std::size_t n)
             static_cast<double>(b[i + 3]);
     }
     double acc = (acc0 + acc1) + (acc2 + acc3);
-    for (; i < n; ++i)
+    for (std::size_t i = whole; i < n; ++i)
         acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
     return acc;
 }

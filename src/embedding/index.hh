@@ -18,25 +18,30 @@
  * (similarity desc, insertion slot asc) — a total order — so serial and
  * sharded scans return bit-identical results.
  *
- * Exact fp16 prefilter. Next to the float rows the index keeps an fp16
- * shadow of every row (HalfRows, moved in lockstep through insert,
- * swap-remove and clear) and each row's error term, an upper bound on
- * its L2 norm, with the maximum over every aligned block of 256 slots.
- * A scan reads the shadow, half the bytes of the float rows, one
- * block at a time and scores it in float through
- * kernels::dotHalfBatch. For a row with prefilter score s~, the pinned
- * double score lies in [s~ - eps, s~ + eps], where eps is a proven
- * bound on the fp16 rounding plus both accumulations, taken at the
- * block's largest norm (docs/RETRIEVAL.md, "Exact fp16 prefilter").
- * best() keeps the running maximum L of s~ - eps; topK(k) keeps the
- * k-th largest. Each block re-scores its rows with s~ + eps >= L
+ * Exact int8 prefilter. Next to the float rows the index keeps an
+ * int8 shadow of every row (Int8Rows, moved in lockstep through
+ * insert, swap-remove and clear): codes X with a per-row scale
+ * sx = max|x| / 127, an upper bound on the row's L2 norm and one on
+ * its quantization error ||x - sx X||, and the maximum of both bounds
+ * over every aligned block of 256 slots. A scan quantizes the query
+ * the same way, reads the shadow, a quarter of the bytes of the float
+ * rows, one block at a time and scores it through
+ * kernels::dotInt8Batch: an exact int32 sum Q . X, scaled by two float
+ * multiplications, so the prefilter scores s~ do not depend on the
+ * kernel tier. For a row with prefilter score s~, the pinned double
+ * score lies in [s~ - eps, s~ + eps], where eps is a proven bound on
+ * both quantizations, both float roundings and the double sum, taken
+ * at the block's largest bounds (docs/RETRIEVAL.md, "Exact int8
+ * prefilter"). best() keeps the running maximum L of s~ - eps and of
+ * the exact scores it has re-scored; topK(k) keeps the k-th largest
+ * s~ - eps. A block whose largest s~ falls below L - eps
+ * is skipped; otherwise it re-scores its rows with s~ + eps >= L
  * through the pinned double kernel, in slot order, with the same
  * admission as the exhaustive scan. A discarded row scores strictly
  * below the rows that set L, so results equal the exhaustive double
- * scan bit for bit under every kernel tier, although the prefilter
- * sums may differ by tier. Queries the bound does not cover (zero,
- * non-finite, or large enough to overflow the float prefilter) take
- * the exhaustive scan.
+ * scan bit for bit under every kernel tier. Queries the bound does not
+ * cover (zero, non-finite, of tiny or huge scale, or longer than
+ * kMaxPrefilterDim) take the exhaustive scan.
  */
 
 #ifndef MODM_EMBEDDING_INDEX_HH
@@ -84,8 +89,9 @@ class FlatIndex final : public VectorIndex
      * Insert a raw row of dim() floats as is (insert() forwards the
      * embedding's unit vector here). Every element must be finite: a
      * NaN would win or break every comparison, so it aborts naming
-     * the id and element. Elements beyond the fp16 range are allowed;
-     * their shadow saturates and their row is always re-scored.
+     * the id and element. Rows with an element beyond 2^100 are
+     * allowed; the prefilter does not cover them, so they are always
+     * re-scored.
      */
     void insertRow(std::uint64_t id, const float *row);
 
@@ -138,18 +144,23 @@ class FlatIndex final : public VectorIndex
     /** Remove everything. */
     void clear() override;
 
-    /** Float rows + fp16 shadow rows + error terms (per row and per
-     *  block) + ids + locator payloads; ~6 * dim + 36 per entry.
-     *  Counts dim (not stride) elements per row so the figure does not
-     *  depend on the slab padding. */
+    /** Float rows + int8 shadow rows with their scales + norm and
+     *  error bounds (per row and per block) + ids + locator payloads;
+     *  ~5 * dim + 44 per entry. Counts dim (not stride) elements per
+     *  row so the figure does not depend on the slab padding. */
     std::size_t memoryBytes() const override
     {
         return ids_.size() *
-            (dim_ * (sizeof(float) + sizeof(std::uint16_t)) +
-             sizeof(float) + sizeof(std::uint64_t)) +
-            blockNorm_.size() * sizeof(float) +
+            (dim_ * (sizeof(float) + sizeof(std::int8_t)) +
+             sizeof(float) + sizeof(RowBound) + sizeof(std::uint64_t)) +
+            blockBound_.size() * sizeof(RowBound) +
             locatorBytes(slotOf_.size(), sizeof(std::size_t));
     }
+
+    /** Longest row the prefilter covers: up to it, int8 sums convert
+     *  to float exactly (dim * 127^2 < 2^24). Longer rows scan
+     *  exhaustively. */
+    static constexpr std::size_t kMaxPrefilterDim = 1040;
 
   private:
     /** Scored slot, the unit the scan and merge operate on. */
@@ -162,42 +173,63 @@ class FlatIndex final : public VectorIndex
     /** Slots per prefilter block; blocks start at multiples of it. */
     static constexpr std::size_t kBlock = 256;
 
-    /** One query's prefilter bound: a row of norm at most `norm`
-     *  has |s~ - d| <= perNorm * norm + fixed. */
-    struct Bound
+    /** Upper bounds on a row's ||x|| and on its quantization error
+     *  ||x - sx X||, rounded up to floats; both +inf for a row the
+     *  prefilter does not cover. A block keeps the maximum of each. */
+    struct RowBound
     {
+        float norm = 0.0f;
+        float err = 0.0f;
+    };
+
+    /** One query's int8 code and scale, and its bound: a row with
+     *  bounds b has |s~ - d| <= perNorm * b.norm + perErr * b.err +
+     *  fixed. */
+    struct QueryCode
+    {
+        std::int8_t code[kMaxPrefilterDim];
+        float scale = 0.0f;
         double perNorm = 0.0;
+        double perErr = 0.0;
         double fixed = 0.0;
         /** False: the query falls outside the bound's assumptions and
          *  scans use the exhaustive double kernel. */
         bool usable = false;
     };
 
-    /** Derive the bound for one query (docs/RETRIEVAL.md). */
-    Bound boundFor(const float *query) const;
+    /** Quantize one query and derive its bound (docs/RETRIEVAL.md). */
+    void encodeQuery(const float *query, QueryCode *out) const;
 
-    /** Recompute blockNorm_[block] from the rows it holds. */
-    void refreshBlockNorm(std::size_t block);
+    /** The prefilter error bound of `query` over one block. */
+    double blockEps(const QueryCode &query, std::size_t block) const
+    {
+        const RowBound &b = blockBound_[block];
+        return query.perNorm * b.norm + query.perErr * b.err + query.fixed;
+    }
+
+    /** Recompute blockBound_[block] from the rows it holds. */
+    void refreshBlockBound(std::size_t block);
 
     /** Shards the next scan will use (1 = serial). */
     std::size_t scanShards() const;
 
     /** Best slot in [lo, hi), earliest slot winning ties. */
-    SlotScore scanBest(const float *query, const Bound &bound,
+    SlotScore scanBest(const float *query, const QueryCode &code,
                        std::size_t lo, std::size_t hi) const;
 
     /** Top `keep` slots in [lo, hi) by (score desc, slot asc). */
-    std::vector<SlotScore> scanTop(const float *query, const Bound &bound,
-                                   std::size_t lo, std::size_t hi,
-                                   std::size_t keep) const;
+    std::vector<SlotScore> scanTop(const float *query,
+                                   const QueryCode &code, std::size_t lo,
+                                   std::size_t hi, std::size_t keep) const;
 
     std::size_t dim_;
     std::size_t parallelism_ = 1;
     std::size_t parallelThreshold_ = kDefaultParallelThreshold;
     AlignedRows rows_;               // slot-addressed, 64-byte aligned
-    HalfRows shadow_;                // fp16 copy of rows_, same slots
-    std::vector<float> normBound_;   // slot -> bound on ||row||_2, or inf
-    std::vector<float> blockNorm_;   // block -> max normBound_ in it
+    Int8Rows shadow_;                // int8 codes of rows_, same slots
+    std::vector<float> scale_;       // slot -> the codes' scale sx
+    std::vector<RowBound> bound_;    // slot -> norm and error bounds
+    std::vector<RowBound> blockBound_; // block -> max of each in it
     std::vector<std::uint64_t> ids_;             // slot -> id
     std::unordered_map<std::uint64_t, std::size_t> slotOf_; // id -> slot
 };

@@ -13,18 +13,20 @@
  * dotBatch, dotGather, topKBatch, bestBatch — must match the
  * single-row kernel exactly, including ordering and tie-break rules.
  *
- * The fp16 prefilter is outside that contract: its codec must be
- * exact (every finite half decodes to its value and re-encodes to
- * itself; encoding rounds to nearest even and saturates), and its
- * float sums must stay within the accumulation bound FlatIndex
- * charges, on every tier.
+ * The int8 prefilter needs no summation order: every tier must return
+ * the exact integer sum, scaled as (float(sum) * rowScale) *
+ * queryScale, bit for bit, including at the extreme codes +-127 where
+ * a saturating SIMD path would go wrong. MODM_KERNEL must name an
+ * available tier exactly; anything else is fatal.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/common/kernels.hh"
@@ -266,93 +268,129 @@ TEST(Kernels, BestBatchBreaksExactTiesTowardTheEarliestSlot)
     }
 }
 
-float
-halfValue(std::uint16_t bits)
+/** Random codes in [-127, 127]; every fifth row is all +127 or all
+ *  -127, the extremes where a saturating int16 step would overflow. */
+Int8Rows
+randomCodes(std::size_t dim, std::size_t count, Rng &rng)
 {
-    // binary16 by definition: (-1)^s * 2^(e-15) * (1 + m/1024), with
-    // e == 0 meaning 2^-14 * (m/1024).
-    const int e = (bits >> 10) & 0x1f;
-    const int m = bits & 0x3ff;
-    const double mag = e == 0 ? std::ldexp(m, -24)
-                              : std::ldexp(1024 + m, e - 25);
-    return static_cast<float>((bits & 0x8000) ? -mag : mag);
-}
-
-TEST(HalfCodec, DecodesEveryFiniteHalfExactlyAndReencodesItBitForBit)
-{
-    for (std::uint32_t bits = 0; bits <= 0xffff; ++bits) {
-        const auto h = static_cast<std::uint16_t>(bits);
-        if (((h >> 10) & 0x1f) == 0x1f)
-            continue; // infinities and NaNs never reach the shadow
-        const float value = decodeHalf(h);
-        EXPECT_EQ(value, halfValue(h)) << std::hex << bits;
-        EXPECT_EQ(std::signbit(value), (h & 0x8000) != 0);
-        EXPECT_EQ(encodeHalf(value), h) << std::hex << bits;
+    Int8Rows rows(dim);
+    for (std::size_t r = 0; r < count; ++r) {
+        std::int8_t *code = rows.append();
+        for (std::size_t i = 0; i < dim; ++i) {
+            const auto v = static_cast<int>(rng.uniformInt(255)) - 127;
+            code[i] = static_cast<std::int8_t>(
+                r % 5 == 4 ? (r % 10 == 4 ? 127 : -127) : v);
+        }
     }
+    return rows;
 }
 
-TEST(HalfCodec, EncodeRoundsToNearestEvenAndSaturates)
-{
-    const float unit = std::ldexp(1.0f, -24); // smallest subnormal
-    EXPECT_EQ(encodeHalf(0.5f * unit), 0x0000);        // tie -> even 0
-    EXPECT_EQ(encodeHalf(std::nextafter(0.5f * unit, 1.0f)), 0x0001);
-    EXPECT_EQ(encodeHalf(1.5f * unit), 0x0002);        // tie -> even 2
-    EXPECT_EQ(encodeHalf(2.5f * unit), 0x0002);        // tie -> even 2
-    EXPECT_EQ(encodeHalf(-2.5f * unit), 0x8002);
-    EXPECT_EQ(encodeHalf(1e-40f), 0x0000);             // float subnormal
-    EXPECT_EQ(encodeHalf(1.0f + std::ldexp(1.0f, -11)), 0x3c00); // tie
-    EXPECT_EQ(encodeHalf(1.0f + 3 * std::ldexp(1.0f, -11)), 0x3c02);
-    EXPECT_EQ(encodeHalf(std::ldexp(1.0f, -14)), 0x0400); // min normal
-    // The largest subnormal rounds up into the normal range.
-    EXPECT_EQ(encodeHalf(std::ldexp(1.0f, -14) - 0.25f * unit), 0x0400);
-    EXPECT_EQ(encodeHalf(kHalfMax), 0x7bff);
-    EXPECT_EQ(encodeHalf(65519.0f), 0x7bff);
-    EXPECT_EQ(encodeHalf(65520.0f), 0x7bff); // IEEE says inf: saturate
-    EXPECT_EQ(encodeHalf(-1e30f), 0xfbff);
-}
-
-TEST(HalfKernels, PrefilterSumsStayWithinTheirBoundOnEveryTier)
+TEST(Int8Kernels, ScoresAreExactScaledSumsOnEveryTier)
 {
     ScopedTier guard;
     Rng rng(99);
     for (const std::size_t dim : testDims()) {
         constexpr std::size_t kRows = 37; // 4 blocks of 8 + 5 tail rows
-        HalfRows rows(dim);
-        std::vector<Vec> decoded;
-        for (std::size_t r = 0; r < kRows; ++r) {
-            Vec v = randomUnitVec(dim, rng);
-            std::uint16_t *h = rows.append();
-            for (std::size_t i = 0; i < dim; ++i) {
-                h[i] = encodeHalf(v[i] * 300.0f);
-                v[i] = decodeHalf(h[i]);
-            }
-            decoded.push_back(v);
-        }
-        const Vec query = randomUnitVec(dim, rng);
-        const double k = static_cast<double>(dim + 4);
-        const double gamma = k * 0x1p-24 / (1.0 - k * 0x1p-24);
+        const Int8Rows rows = randomCodes(dim, kRows, rng);
+        std::vector<std::int8_t> query(dim);
+        for (std::size_t i = 0; i < dim; ++i)
+            query[i] = static_cast<std::int8_t>(i % 3 ? -127 : 127);
+        query[dim / 2] = 0; // a zero code must contribute nothing
+        std::vector<float> rowScale(kRows);
+        for (auto &s : rowScale)
+            s = static_cast<float>(rng.uniform(1e-3, 10.0));
+        const float queryScale = 0.0123f;
         for (const Tier tier : availableTiers()) {
             ASSERT_TRUE(setTier(tier));
             std::vector<float> out(kRows);
-            const float top = dotHalfBatch(query.data(), rows.data(),
-                                           rows.stride(), kRows, dim,
-                                           out.data());
+            const float top =
+                dotInt8Batch(query.data(), queryScale, rows.data(),
+                             rowScale.data(), rows.stride(), kRows, dim,
+                             out.data());
             float expectTop = out[0];
             for (std::size_t r = 0; r < kRows; ++r) {
-                double exact = 0.0;
-                double absSum = 0.0;
-                for (std::size_t i = 0; i < dim; ++i) {
-                    exact += static_cast<double>(query[i]) * decoded[r][i];
-                    absSum += std::fabs(static_cast<double>(query[i]) *
-                                        decoded[r][i]);
-                }
-                EXPECT_LE(std::fabs(out[r] - exact),
-                          gamma * absSum + k * 0x1p-149)
+                std::int64_t exact = 0;
+                for (std::size_t i = 0; i < dim; ++i)
+                    exact += std::int64_t{query[i]} * rows.row(r)[i];
+                const float expect =
+                    (static_cast<float>(exact) * rowScale[r]) * queryScale;
+                EXPECT_EQ(out[r], expect)
                     << tierName(tier) << " dim " << dim << " row " << r;
                 expectTop = std::max(expectTop, out[r]);
             }
             EXPECT_EQ(top, expectTop) << tierName(tier) << " dim " << dim;
         }
+    }
+}
+
+TEST(Int8Kernels, TiersAgreeBitForBitOnUnalignedShards)
+{
+    // FlatIndex hands the kernel shard ranges that start mid-block, so
+    // row pointers and scales need not be aligned.
+    ScopedTier guard;
+    Rng rng(7);
+    for (const std::size_t dim : {std::size_t{64}, std::size_t{512},
+                                  std::size_t{70}}) {
+        constexpr std::size_t kRows = 300;
+        const Int8Rows rows = randomCodes(dim, kRows, rng);
+        std::vector<std::int8_t> query(dim);
+        for (auto &q : query)
+            q = static_cast<std::int8_t>(
+                static_cast<int>(rng.uniformInt(255)) - 127);
+        std::vector<float> rowScale(kRows);
+        for (auto &s : rowScale)
+            s = static_cast<float>(rng.uniform(0.0, 1.0));
+        for (const std::size_t lo : {std::size_t{0}, std::size_t{3}}) {
+            std::vector<std::uint32_t> baseline;
+            for (const Tier tier : availableTiers()) {
+                ASSERT_TRUE(setTier(tier));
+                std::vector<float> out(kRows - lo);
+                dotInt8Batch(query.data(), 0.5f, rows.row(lo),
+                             rowScale.data() + lo, rows.stride(),
+                             kRows - lo, dim, out.data());
+                std::vector<std::uint32_t> bits(out.size());
+                std::memcpy(bits.data(), out.data(),
+                            out.size() * sizeof(float));
+                if (baseline.empty())
+                    baseline = bits;
+                EXPECT_EQ(bits, baseline)
+                    << tierName(tier) << " dim " << dim << " lo " << lo;
+            }
+        }
+    }
+    std::vector<float> none(1);
+    const std::int8_t code[1] = {1};
+    const float scale[1] = {1.0f};
+    EXPECT_EQ(dotInt8Batch(code, 1.0f, code, scale, 64, 0, 1, none.data()),
+              -std::numeric_limits<float>::infinity());
+}
+
+TEST(Kernels, ParseTierAcceptsExactlyTheTierNames)
+{
+    EXPECT_EQ(parseTier("scalar"), Tier::Scalar);
+    EXPECT_EQ(parseTier("unrolled"), Tier::Unrolled);
+    EXPECT_EQ(parseTier("avx2"), Tier::Avx2);
+    for (const char *bad : {"", "avx512", "AVX2", "avx2 ", " scalar",
+                            "scaler", "auto", "default"}) {
+        EXPECT_FALSE(parseTier(bad).has_value()) << '"' << bad << '"';
+    }
+    // Unset or empty: the auto tier, which is always available.
+    EXPECT_TRUE(tierAvailable(tierFromEnv(nullptr)));
+    EXPECT_EQ(tierFromEnv(""), tierFromEnv(nullptr));
+    EXPECT_EQ(tierFromEnv("scalar"), Tier::Scalar);
+}
+
+TEST(KernelsDeathTest, UnknownOrUnavailableTierIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // A typo used to fall back to the auto tier with a notice, so a
+    // tier diff under it compared the auto tier with itself.
+    EXPECT_DEATH(tierFromEnv("avx512"),
+                 "MODM_KERNEL=avx512: unknown kernel tier");
+    EXPECT_DEATH(tierFromEnv("AVX2"), "MODM_KERNEL=AVX2: unknown kernel tier");
+    if (!tierAvailable(Tier::Avx2)) {
+        EXPECT_DEATH(tierFromEnv("avx2"),
+                     "MODM_KERNEL=avx2: tier not available");
     }
 }
 
@@ -362,25 +400,25 @@ TEST(HalfKernels, PrefilterSumsStayWithinTheirBoundOnEveryTier)
 namespace modm {
 namespace {
 
-TEST(AlignedRows, HalfRowsPadToWholeCacheLinesAndSwapRemove)
+TEST(AlignedRows, Int8RowsPadToWholeCacheLinesAndSwapRemove)
 {
-    EXPECT_EQ(alignedRowStride<std::uint16_t>(1), std::size_t{32});
-    EXPECT_EQ(alignedRowStride<std::uint16_t>(64), std::size_t{64});
-    EXPECT_EQ(alignedRowStride<std::uint16_t>(65), std::size_t{96});
-    HalfRows rows(65);
-    for (std::uint16_t r = 0; r < 3; ++r) {
-        std::uint16_t *h = rows.append();
+    EXPECT_EQ(alignedRowStride<std::int8_t>(1), std::size_t{64});
+    EXPECT_EQ(alignedRowStride<std::int8_t>(64), std::size_t{64});
+    EXPECT_EQ(alignedRowStride<std::int8_t>(65), std::size_t{128});
+    Int8Rows rows(65);
+    for (std::int8_t r = 0; r < 3; ++r) {
+        std::int8_t *code = rows.append();
         for (std::size_t i = 0; i < 65; ++i)
-            h[i] = r;
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(h) % 64, 0u);
+            code[i] = static_cast<std::int8_t>(-r);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(code) % 64, 0u);
         for (std::size_t i = 65; i < rows.stride(); ++i)
-            EXPECT_EQ(h[i], 0) << "pad must be zeroed";
+            EXPECT_EQ(code[i], 0) << "pad must be zeroed";
     }
     rows.swapRemove(0);
     ASSERT_EQ(rows.size(), std::size_t{2});
-    EXPECT_EQ(rows.row(0)[64], 2);
-    EXPECT_EQ(rows.row(1)[0], 1);
-    EXPECT_EQ(rows.memoryBytes(), 2 * 96 * sizeof(std::uint16_t));
+    EXPECT_EQ(rows.row(0)[64], -2);
+    EXPECT_EQ(rows.row(1)[0], -1);
+    EXPECT_EQ(rows.memoryBytes(), std::size_t{2 * 128});
 }
 
 TEST(AlignedRows, StrideRoundsUpToWholeCacheLines)

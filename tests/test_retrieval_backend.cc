@@ -54,7 +54,7 @@ namespace {
  * Reference reimplementation of the original flat cosine index: flat row
  * storage, swap-with-last removal, an exhaustive serial scan scoring
  * every row through kernels::dot, results ordered by (similarity desc,
- * slot asc). FlatIndex results — whose fp16 prefilter skips rows —
+ * slot asc). FlatIndex results — whose int8 prefilter skips rows —
  * must match this bit for bit.
  */
 class ReferenceIndex
@@ -775,13 +775,13 @@ TEST(VectorIndexMemory, FlatAndIvfAccountExactly)
     EXPECT_EQ(flat.memoryBytes(), std::size_t{0});
     Rng rng(1);
     flat.insert(1, Embedding(randomUnitVec(kEmbeddingDim, rng)));
-    // One float row + its fp16 shadow (2 * dim bytes) + its error term
-    // + one id + one locator entry, plus one error term per 256-slot
-    // block; nothing else.
+    // One float row + its int8 shadow (dim bytes, a float scale and a
+    // float error bound) + its norm bound + one id + one locator entry,
+    // plus the two bounds' maxima per 256-slot block; nothing else.
     const std::size_t perEntry = kEmbeddingDim * sizeof(float) +
-        kEmbeddingDim * sizeof(std::uint16_t) + sizeof(float) +
+        kEmbeddingDim + 2 * sizeof(float) + sizeof(float) +
         sizeof(std::uint64_t) + locatorBytes(1, sizeof(std::size_t));
-    const std::size_t perBlock = sizeof(float);
+    const std::size_t perBlock = 2 * sizeof(float);
     EXPECT_EQ(flat.memoryBytes(), perEntry + perBlock);
     flat.insert(2, Embedding(randomUnitVec(kEmbeddingDim, rng)));
     EXPECT_EQ(flat.memoryBytes(), 2 * perEntry + perBlock);
@@ -852,7 +852,7 @@ TEST(FlatIndexPrefilter, LastUlpDuplicatesAndExactTiesMatchTheExhaustiveScan)
     const Vec base = randomUnitVec(kDim, rng);
     // 600 rows over three prefilter blocks: exact copies of `base`
     // (ties across slots and blocks), copies one ulp above or below it
-    // in one element (identical fp16 shadows, distinct double
+    // in one element (identical int8 shadows, distinct double
     // scores), and near neighbours.
     for (std::uint64_t id = 0; id < 600; ++id) {
         Vec row = base;
@@ -883,34 +883,42 @@ TEST(FlatIndexPrefilter, LastUlpDuplicatesAndExactTiesMatchTheExhaustiveScan)
 
 TEST(FlatIndexPrefilter, KeepsTheWinnerWhenRoundingReversesThePrefilterOrder)
 {
-    // The worst case of the bound, built by hand. A's one element
-    // rounds down by almost 2^-11 relative and B's rounds up by as
-    // much, so under a query weighting A's axis 1 + 2^-11 times B's,
-    // A wins the exact scan by ~2^-11 and loses the fp16 prefilter by
-    // as much. Only a bound at least ~0.35x the certified one keeps A:
-    // a prefilter that trusts its order, or charges too little error,
-    // returns B.
+    // The worst case of the bound, built by hand. The query is 0.25 on
+    // 16 axes: its codes are all 127, so it quantizes (almost) exactly.
+    // Two rows share the scale 1/127, set by a 1 on an axis the query
+    // ignores. On the query's axes A sits 31/64 of a code step above
+    // its codes (every element rounds down) and B as far below its
+    // codes (every element rounds up), so both errors point along the
+    // query and the bound is tight. A's elements sum half a step more
+    // than B's, so A wins the exact scan, while A's codes sum 15 steps
+    // less: B's prefilter score exceeds A's by 0.97 of the 2 * eps the
+    // certified bound allows. A bound cut below ~0.97x returns B.
     constexpr std::size_t kDim = kEmbeddingDim;
-    const float t = std::ldexp(1.0f, -20);
+    constexpr std::size_t kAxes = 16;
+    constexpr float kStep = 1.0f / 127.0f;
     Vec a(kDim, 0.0f);
     Vec b(kDim, 0.0f);
-    a[0] = 1.0f + std::ldexp(1.0f, -11) - t;
-    b[1] = 1.0f + std::ldexp(1.0f, -11) + t;
+    a[40] = 1.0f;
+    b[40] = 1.0f;
+    for (std::size_t i = 0; i < kAxes; ++i) {
+        a[i] = (50.5f - 1.0f / 64) * kStep; // codes 50
+        // B's codes: 50 on the first axis, 51 on the rest.
+        b[i] = ((i == 0 ? 49.5f : 50.5f) + 1.0f / 64) * kStep;
+    }
     Vec dir(kDim, 0.0f);
-    dir[0] = 1.0f + std::ldexp(1.0f, -11);
-    dir[1] = 1.0f;
+    for (std::size_t i = 0; i < kAxes; ++i)
+        dir[i] = 1.0f;
     const Embedding query(dir);
     const float *q = query.vec().data();
+    ASSERT_EQ(q[0], 0.25f);
     ASSERT_GT(kernels::dot(q, a.data(), kDim),
               kernels::dot(q, b.data(), kDim));
-    ASSERT_LT(q[0] * kernels::decodeHalf(kernels::encodeHalf(a[0])),
-              q[1] * kernels::decodeHalf(kernels::encodeHalf(b[1])));
 
     // B raises the cut before A is scanned: in A's block, and in an
     // earlier block. Unit filler rows orthogonal to the query (an
     // exact 0) pad the slots between.
     Vec filler(kDim, 0.0f);
-    filler[5] = 1.0f;
+    filler[50] = 1.0f;
     for (const std::size_t gap : {std::size_t{1}, std::size_t{300}}) {
         ReferenceIndex oracle(kDim);
         FlatIndex flat(kDim);
@@ -929,34 +937,33 @@ TEST(FlatIndexPrefilter, KeepsTheWinnerWhenRoundingReversesThePrefilterOrder)
     }
 }
 
-TEST(FlatIndexPrefilter, SubnormalNonUnitAndOverflowRowsMatchTheExhaustiveScan)
+TEST(FlatIndexPrefilter, DominantTinyHugeAndZeroRowsMatchTheExhaustiveScan)
 {
     constexpr std::size_t kDim = kEmbeddingDim;
     Rng rng(405);
     const auto odd = [&](std::size_t i, std::size_t kind) {
         Vec row = randomUnitVec(kDim, rng);
         switch (kind) {
-        case 1: // non-unit, inside the fp16 range
+        case 1: // one dominant element: every other code rounds to 0
+            row[i % kDim] = i % 2 ? 1000.0f : -1000.0f;
+            break;
+        case 2: // norm 1e-30: tiny scale
             for (auto &x : row)
-                x *= 1000.0f;
+                x *= 1e-30f;
             break;
-        case 2: // non-unit, small
+        case 3: // norm 1e30: huge scale, still covered
             for (auto &x : row)
-                x *= 1e-3f;
+                x *= 1e30f;
             break;
-        case 3: // every element an fp16 subnormal
-            for (auto &x : row)
-                x *= 1e-5f;
+        case 4: // float subnormals: the scale underflows to zero
+            for (std::size_t e = 0; e < kDim; ++e)
+                row[e] = (e % 3 ? 1e-44f : -3e-45f) * (e % 2 ? 1 : 3);
             break;
-        case 4: // float subnormals and values that round to fp16 zero
-            for (std::size_t e = 0; e < kDim; e += 2)
-                row[e] = (e % 4 ? 3e-8f : 1e-40f) * (row[e] < 0 ? -1 : 1);
+        case 5: // zero row
+            std::fill(row.begin(), row.end(), 0.0f);
             break;
-        case 5: // fp16 overflow
-            row[i % kDim] = (i % 2 ? 70000.0f : -1e5f);
-            break;
-        case 6: // just above the largest half, which the shadow saturates
-            row[i % kDim] = (i % 2 ? 65519.0f : -65504.5f);
+        case 6: // beyond the prefilter's range: always re-scored
+            row[i % kDim] = i % 2 ? 2e30f : -3e38f;
             break;
         default:
             break;
@@ -965,25 +972,64 @@ TEST(FlatIndexPrefilter, SubnormalNonUnitAndOverflowRowsMatchTheExhaustiveScan)
     };
     // Mixed: every kind in one index, so odd rows compete with unit
     // ones inside the same blocks. Tiny: only the rows whose errors are
-    // dominated by the subnormal term.
+    // dominated by underflow.
     for (const bool tinyOnly : {false, true}) {
         ReferenceIndex oracle(kDim);
         FlatIndex flat(kDim);
         std::vector<Vec> rows;
         for (std::uint64_t id = 0; id < 700; ++id) {
-            const std::size_t kind = tinyOnly ? 3 + id % 2 : id % 7;
+            const std::size_t kind = tinyOnly ? 2 + 2 * (id % 2) : id % 7;
             rows.push_back(odd(id, kind));
             oracle.insertRow(id, rows.back().data());
             flat.insertRow(id, rows.back().data());
         }
-        for (std::size_t q = 0; q < 30; ++q) {
-            // Random directions, and directions of stored rows (which
-            // favour the huge and the saturated ones).
-            const Vec dir = q % 2 ? randomUnitVec(kDim, rng)
-                                  : rows[rng.uniformInt(rows.size())];
+        for (std::size_t q = 0; q < 40; ++q) {
+            // Random directions, directions of stored rows (which
+            // favour the dominant and huge ones), and queries with one
+            // dominant element, whose other codes round to 0.
+            Vec dir = randomUnitVec(kDim, rng);
+            if (q % 3 == 1) {
+                // Rescaled so that normalizing a subnormal or huge row
+                // does not overflow.
+                const Vec &row = rows[rng.uniformInt(rows.size())];
+                double top = 0.0;
+                for (const float x : row)
+                    top = std::max(top, std::fabs(static_cast<double>(x)));
+                if (top > 0.0) {
+                    for (std::size_t e = 0; e < kDim; ++e)
+                        dir[e] = static_cast<float>(row[e] / top);
+                }
+            }
+            if (q % 3 == 2)
+                dir[q % kDim] = 300.0f;
             expectOracleAgrees(oracle, flat, Embedding(dir),
                                std::string(tinyOnly ? "tiny" : "mixed") +
                                    " q " + std::to_string(q));
+        }
+    }
+}
+
+TEST(FlatIndexPrefilter, RowsAtAndBeyondTheExactDimLimitMatchTheExhaustiveScan)
+{
+    // At kMaxPrefilterDim all-equal rows reach the largest integer sum,
+    // 1040 * 127^2 < 2^24, which still converts to float exactly; one
+    // element longer, queries scan exhaustively.
+    Rng rng(407);
+    for (const std::size_t dim : {FlatIndex::kMaxPrefilterDim,
+                                  FlatIndex::kMaxPrefilterDim + 1}) {
+        ReferenceIndex oracle(dim);
+        FlatIndex flat(dim);
+        const Vec ones(dim, 1.0f);
+        for (std::uint64_t id = 0; id < 300; ++id) {
+            const Vec row = id % 3 == 0 ? ones : randomUnitVec(dim, rng);
+            oracle.insertRow(id, row.data());
+            flat.insertRow(id, row.data());
+        }
+        for (std::size_t q = 0; q < 6; ++q) {
+            const Embedding query(q == 0 ? ones : randomUnitVec(dim, rng));
+            expectOracleAgrees(oracle, flat, query,
+                               "dim " + std::to_string(dim) + " q " +
+                                   std::to_string(q));
         }
     }
 }
@@ -998,9 +1044,9 @@ TEST(FlatIndexPrefilter, EmptyIndexAndSwapRemoveChurnMatchTheExhaustiveScan)
     EXPECT_EQ(flat.best(probe).similarity, Match{}.similarity);
     EXPECT_TRUE(flat.topK(probe, 5).empty());
 
-    // Churn across block boundaries; an overflow row now and then
-    // makes its block's error term infinite until it leaves, and
-    // swap-remove must carry every row's term with it.
+    // Churn across block boundaries; a row beyond the prefilter's
+    // range now and then makes its block's bounds infinite until it
+    // leaves, and swap-remove must carry every row's bounds with it.
     const auto centers = makeCenters(12, 406);
     std::vector<std::uint64_t> live;
     std::uint64_t nextId = 0;
@@ -1015,7 +1061,7 @@ TEST(FlatIndexPrefilter, EmptyIndexAndSwapRemoveChurnMatchTheExhaustiveScan)
         } else {
             Vec row = clusteredEmbedding(centers, rng).vec();
             if (nextId % 97 == 0)
-                row[nextId % kDim] = 1e6f;
+                row[nextId % kDim] = 1e31f;
             oracle.insertRow(nextId, row.data());
             flat.insertRow(nextId, row.data());
             live.push_back(nextId++);

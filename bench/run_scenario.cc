@@ -24,12 +24,15 @@
  *                and digests are byte-identical with tracing on.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/sweep.hh"
+#include "src/common/stats.hh"
+#include "src/obs/metrics.hh"
 #include "src/serving/scenario_exec.hh"
 #include "src/workload/scenario.hh"
 
@@ -280,6 +283,134 @@ renderCluster(const workload::Scenario &scenario,
     t.print(tableTitle(scenario));
 }
 
+/** Timeline window width: Figs. 10 and 17 plot 4-minute means. */
+constexpr std::size_t kWindowMinutes = 4;
+
+/** Completions per minute in 4-minute windows, against the demand. */
+void
+renderTimeline(const workload::Scenario &scenario,
+               const std::vector<workload::ScenarioCell> &cells,
+               const std::vector<serving::ServingResult> &results)
+{
+    const workload::PiecewiseArrivals demand(
+        workload::scenarioRateSchedule(scenario));
+    const double width = 60.0 * kWindowMinutes;
+    std::vector<std::string> headers = {"time (min)", "demand"};
+    std::vector<std::vector<double>> perWindow;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        headers.push_back(cells[i].label);
+        perWindow.push_back(obs::groupMeans(
+            results[i].metrics.completionsPerMinute(scenario.duration),
+            kWindowMinutes));
+    }
+    Table t(headers);
+    const auto windows = static_cast<std::size_t>(scenario.duration / width);
+    for (std::size_t w = 0; w < windows; ++w) {
+        std::vector<std::string> row = {
+            Table::fmt(static_cast<std::uint64_t>(w * kWindowMinutes)),
+            Table::fmt(demand.rateAt(w * width + width / 2.0), 0)};
+        for (const auto &series : perWindow)
+            row.push_back(Table::fmt(series[w], 1));
+        t.addRow(row);
+    }
+    t.print(tableTitle(scenario));
+}
+
+/**
+ * The one cell's monitor allocations: every 5th snapshot, the last,
+ * and every snapshot whose small model differs from the previous one,
+ * so no switch goes unseen.
+ */
+void
+renderAllocation(const workload::Scenario &scenario,
+                 const workload::ScenarioCell &cell,
+                 const serving::ServingResult &result)
+{
+    Table t({"time (min)", "num large", "small model"});
+    const auto &snaps = result.allocations;
+    for (std::size_t i = 0; i < snaps.size(); ++i) {
+        const bool switched = i > 0 &&
+            snaps[i].smallModelIndex != snaps[i - 1].smallModelIndex;
+        if (i % 5 == 0 || i + 1 == snaps.size() || switched)
+            t.addRow({Table::fmt(snaps[i].time / 60.0, 0),
+                      Table::fmt(static_cast<std::uint64_t>(
+                          snaps[i].numLarge)),
+                      serving::scenarioModel(
+                          cell.params.small[snaps[i].smallModelIndex])
+                          .name});
+    }
+    t.print(tableTitle(scenario));
+}
+
+/** Completions before `duration` per minute, vs the first cell. */
+void
+renderScaling(const workload::Scenario &scenario,
+              const std::vector<workload::ScenarioCell> &cells,
+              const std::vector<serving::ServingResult> &results)
+{
+    std::vector<double> throughput;
+    for (const auto &r : results) {
+        const auto &records = r.metrics.records();
+        const auto within = std::count_if(
+            records.begin(), records.end(), [&](const auto &record) {
+                return record.finish < scenario.duration;
+            });
+        throughput.push_back(static_cast<double>(within) /
+                             (scenario.duration / 60.0));
+    }
+    Table t({"GPUs", "throughput/min", "normalized", "paper",
+             "hit rate"});
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        t.addRow({Table::fmt(static_cast<std::uint64_t>(
+                      cells[i].params.workers)),
+                  Table::fmt(throughput[i], 1),
+                  Table::fmt(throughput[i] / throughput.front(), 2),
+                  cells[i].paper, Table::fmt(results[i].hitRate)});
+    t.print(tableTitle(scenario));
+}
+
+/** Age of the entry behind each cache hit: 20 bins over duration. */
+void
+renderHitAge(const workload::Scenario &scenario,
+             const serving::ServingResult &result)
+{
+    Histogram ages(0.0, scenario.duration, 20);
+    std::size_t withinFourHours = 0;
+    for (const double age : result.hitAges) {
+        ages.add(age);
+        withinFourHours += age <= 4.0 * 3600.0 ? 1 : 0;
+    }
+    Table t({"age bucket (h)", "fraction of hits"});
+    for (std::size_t b = 0; b < ages.bins(); ++b)
+        t.addRow({Table::fmt(ages.binCenter(b) / 3600.0, 2),
+                  Table::fmt(ages.binFraction(b), 3)});
+    t.print(tableTitle(scenario));
+    std::printf("hits within 4 hours: %.1f%% (paper: > 90%%)\n",
+                100.0 * static_cast<double>(withinFourHours) /
+                    static_cast<double>(result.hitAges.size()));
+}
+
+/** How much each cell's monitor moved: allocation flips and reloads. */
+void
+renderController(const workload::Scenario &scenario,
+                 const std::vector<workload::ScenarioCell> &cells,
+                 const std::vector<serving::ServingResult> &results)
+{
+    Table t({"controller", "throughput/min", "allocation changes",
+             "model reloads", "p99 (s)"});
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto &r = results[i];
+        std::uint64_t flips = 0;
+        for (std::size_t j = 1; j < r.allocations.size(); ++j)
+            flips += r.allocations[j].numLarge !=
+                r.allocations[j - 1].numLarge;
+        t.addRow({cells[i].label, Table::fmt(r.throughputPerMin),
+                  Table::fmt(flips), Table::fmt(r.modelSwitches),
+                  Table::fmt(r.metrics.latencyPercentile(99.0), 0)});
+    }
+    t.print(tableTitle(scenario));
+}
+
 void
 renderTable(const workload::Scenario &scenario,
             const std::vector<workload::ScenarioCell> &cells,
@@ -325,6 +456,16 @@ renderServing(const workload::Scenario &scenario,
                              sloMetric(scenario, 4.0)});
       case workload::ScenarioReport::Cluster:
         return renderCluster(scenario, cells, results);
+      case workload::ScenarioReport::Timeline:
+        return renderTimeline(scenario, cells, results);
+      case workload::ScenarioReport::Allocation:
+        return renderAllocation(scenario, cells.front(), results.front());
+      case workload::ScenarioReport::Scaling:
+        return renderScaling(scenario, cells, results);
+      case workload::ScenarioReport::HitAge:
+        return renderHitAge(scenario, results.front());
+      case workload::ScenarioReport::Controller:
+        return renderController(scenario, cells, results);
       default:
         return renderTable(scenario, cells, results);
     }

@@ -104,7 +104,12 @@ fatal(const char *fmt, ...)
     va_start(ap, fmt);
     vreport("fatal", fmt, ap);
     va_end(ap);
-    std::exit(1);
+    // _Exit, not exit: fatal() may run on a pool worker while other
+    // tasks are mid-flight, and exit()'s static destructors would tear
+    // down ThreadPool::global() under them (its destructor joins every
+    // worker, the calling one included). Flush what was printed first.
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

@@ -3,7 +3,9 @@
  * Logging and error-exit helpers, following the gem5 fatal/panic split.
  *
  * fatal()  — the condition is the *user's* fault (bad configuration,
- *            invalid arguments); exits with code 1.
+ *            invalid arguments); flushes stdio and exits with code 1
+ *            without running static destructors, so it is safe on
+ *            any thread, pool workers included.
  * panic()  — the condition is a library bug (violated invariant);
  *            calls std::abort() so a core dump / debugger is useful.
  * warn()   — something is off but execution can continue.
@@ -75,7 +77,7 @@ void logAt(LogLevel level, double clock, const char *fmt, ...);
 #define MODM_LOG_ERROR(clock, ...)                                           \
     MODM_LOG_AT(::modm::LogLevel::Error, clock, __VA_ARGS__)
 
-/** Print a formatted fatal error (user error) and exit(1). */
+/** Print a formatted fatal error (user error) and _Exit(1). */
 [[noreturn]] void fatal(const char *fmt, ...);
 
 /** Print a formatted panic (library bug) and abort(). */

@@ -186,6 +186,8 @@ scenarioCellConfig(const workload::Scenario &scenario,
         config.retrieval.efSearch = params.retrievalEf;
     if (params.retrievalNprobe > 0)
         config.retrieval.nprobe = params.retrievalNprobe;
+    if (!params.pid.empty())
+        config.pid = {params.pid[0], params.pid[1], params.pid[2]};
 
     for (const auto &op : scenario.ops) {
         switch (op.kind) {

@@ -35,8 +35,9 @@ diffusion::ModelSpec scenarioModel(workload::ScenarioModel model);
  * Build the full ServingConfig for one resolved scenario cell: the
  * preset named by the cell's system (with the cell's large/small
  * models, workers, GPU, cache capacity, and the scenario seed), then
- * the cluster / eviction / retrieval knobs, the fault plan (with the
- * scenario's recovery window), and the knob plan layered on top. A
+ * the cluster / eviction / retrieval knobs and the cell's PID gains,
+ * the fault plan (with the scenario's recovery window), and the knob
+ * plan layered on top. A
  * cell that keeps every header default reproduces the preset verbatim.
  */
 ServingConfig scenarioCellConfig(const workload::Scenario &scenario,

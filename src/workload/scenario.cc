@@ -102,6 +102,11 @@ const EnumTok<ScenarioReport> kReports[] = {
     {ScenarioReport::Quality, "quality"},
     {ScenarioReport::Reuse, "reuse"},
     {ScenarioReport::Cluster, "cluster"},
+    {ScenarioReport::Timeline, "timeline"},
+    {ScenarioReport::Allocation, "allocation"},
+    {ScenarioReport::Scaling, "scaling"},
+    {ScenarioReport::HitAge, "hit-age"},
+    {ScenarioReport::Controller, "controller"},
 };
 
 const EnumTok<ScenarioFault> kFaultVerbs[] = {
@@ -196,6 +201,21 @@ parseSize(const std::string &tok, std::size_t &out)
     return static_cast<std::uint64_t>(out) == v;
 }
 
+/** The items of a comma list; empty items are kept ("a,,b" has 3). */
+std::vector<std::string>
+splitCommas(const std::string &value)
+{
+    std::vector<std::string> items;
+    std::size_t start = 0;
+    for (std::size_t comma = value.find(','); comma != std::string::npos;
+         comma = value.find(',', start)) {
+        items.push_back(value.substr(start, comma - start));
+        start = comma + 1;
+    }
+    items.push_back(value.substr(start));
+    return items;
+}
+
 // ---------------------------------------------------------------------
 // Tokenizer: whitespace-separated, double quotes group one token,
 // '#' starts a comment outside quotes.
@@ -271,12 +291,7 @@ parseSmallList(const std::string &value, std::vector<ScenarioModel> &out,
     out.clear();
     if (value == "none")
         return true;
-    std::size_t start = 0;
-    while (true) {
-        std::size_t comma = value.find(',', start);
-        if (comma == std::string::npos)
-            comma = value.size();
-        const std::string item = value.substr(start, comma - start);
+    for (const auto &item : splitCommas(value)) {
         ScenarioModel model;
         if (!lookupEnum(kModels, item, model)) {
             err = "unknown model '" + item + "' (expected " +
@@ -284,9 +299,6 @@ parseSmallList(const std::string &value, std::vector<ScenarioModel> &out,
             return false;
         }
         out.push_back(model);
-        if (comma == value.size())
-            break;
-        start = comma + 1;
     }
     return true;
 }
@@ -352,6 +364,26 @@ parseRetrievalValue(ScenarioParams &params, const std::string &value,
                   "' (expected ef|nprobe)";
             return false;
         }
+    }
+    return true;
+}
+
+/** Parse `pid=<kp>,<ki>,<kd>`: three finite gains, each >= 0. */
+bool
+parsePidValue(const std::string &value, std::vector<double> &out,
+              std::string &err)
+{
+    const auto items = splitCommas(value);
+    out.clear();
+    for (const auto &item : items) {
+        double gain = 0.0;
+        if (items.size() != 3 || !parseDouble(item, gain) || gain < 0.0) {
+            err = "pid must look like <kp>,<ki>,<kd> with three finite "
+                  "gains >= 0, got '" +
+                  value + "'";
+            return false;
+        }
+        out.push_back(gain);
     }
     return true;
 }
@@ -450,6 +482,10 @@ paramValueToken(const ScenarioParams &params, const std::string &key)
             out += ",nprobe=" + fmtU64(params.retrievalNprobe);
         return out;
     }
+    if (key == "pid")
+        return scenarioNumber(params.pid[0]) + "," +
+               scenarioNumber(params.pid[1]) + "," +
+               scenarioNumber(params.pid[2]);
     panic("unknown param key '%s'", key.c_str());
 }
 
@@ -664,6 +700,15 @@ Parser::handleHeader(const std::vector<Tok> &toks)
                         value + "'");
         return true;
     }
+    if (key == "arrival-seed") {
+        std::uint64_t seed = 0;
+        if (!parseU64(value, seed))
+            return fail("arrival-seed must be an unsigned 64-bit "
+                        "integer, got '" +
+                        value + "'");
+        out_.arrivalSeed = seed;
+        return true;
+    }
     if (key == "mode") {
         if (!lookupEnum(kModes, value, out_.mode))
             return fail("unknown mode '" + value + "' (expected " +
@@ -708,11 +753,7 @@ Parser::handleHeader(const std::vector<Tok> &toks)
                             value + "'");
             return true;
         }
-        std::size_t start = 0;
-        while (start <= value.size()) {
-            const std::size_t comma = std::min(value.find(',', start),
-                                               value.size());
-            const std::string item = value.substr(start, comma - start);
+        for (const auto &item : splitCommas(value)) {
             double rate = 0.0;
             if (!parseDouble(item, rate) || rate <= 0.0)
                 return fail("rate list entries must be > 0 "
@@ -723,7 +764,6 @@ Parser::handleHeader(const std::vector<Tok> &toks)
                             "got '" +
                             value + "'");
             out_.rates.push_back(rate);
-            start = comma + 1;
         }
         out_.rate = out_.rates.front();
         return true;
@@ -978,9 +1018,10 @@ Parser::handleCell(const std::vector<Tok> &toks)
         }
         if (!overridden.insert(key).second)
             return fail("duplicate cell override '" + key + "'");
-        bool known = false;
+        bool known = key == "pid";
         std::string err;
-        if (!applyParamField(cell.params, key, value, known, err))
+        if (known ? !parsePidValue(value, cell.params.pid, err)
+                  : !applyParamField(cell.params, key, value, known, err))
             return fail(err);
         if (!known)
             return fail("unknown cell override '" + key + "'");
@@ -989,6 +1030,8 @@ Parser::handleCell(const std::vector<Tok> &toks)
     for (const char *key : kParamKeys)
         if (overridden.count(key))
             cell.overridden.push_back(key);
+    if (overridden.count("pid"))
+        cell.overridden.push_back("pid");
     out_.cells.push_back(std::move(cell));
     cellLines_.push_back(lineNo_);
     return true;
@@ -1049,9 +1092,30 @@ Parser::validate()
                           " requires mode cache-stream");
     }
 
+    // Reports over the virtual-time window read `duration`; reports of
+    // one cell's run render exactly one cell.
+    const auto report =
+        std::string("report ") + enumToken(kReports, out_.report);
+    if ((out_.report == ScenarioReport::Timeline ||
+         out_.report == ScenarioReport::Scaling ||
+         out_.report == ScenarioReport::HitAge) &&
+        !sawDuration_)
+        return failAt(lineOf("report"), report + " needs duration");
+    if ((out_.report == ScenarioReport::Allocation ||
+         out_.report == ScenarioReport::HitAge) &&
+        out_.cellCount() != 1)
+        return failAt(lineOf("report"),
+                      report + " renders one cell, got " +
+                          fmtU64(out_.cellCount()));
+
     if (sawDuration_ && out_.rate <= 0.0)
         return failAt(scenarioLine_,
                       "duration-based scenarios need rate > 0");
+    if (out_.arrivalSeed &&
+        (out_.rate <= 0.0 || out_.mode == ScenarioMode::CacheStream))
+        return failAt(lineOf("arrival-seed"),
+                      "arrival-seed needs a serving scenario with "
+                      "rate > 0 (nothing else draws arrivals)");
 
     for (std::size_t i = 0; i < out_.cellCount(); ++i) {
         const auto cell = out_.cell(i);
@@ -1063,6 +1127,14 @@ Parser::validate()
                           "cell \"" + cell.label + "\": system " +
                               enumToken(kSystems, cell.params.system) +
                               " needs a non-empty small list");
+        // Only MoDM runs the global monitor the gains would steer.
+        if (!cell.params.pid.empty() &&
+            cell.params.system != ScenarioSystem::MoDM)
+            return failAt(cellLines_[i],
+                          "cell \"" + cell.label + "\": pid needs "
+                              "system modm (got " +
+                              enumToken(kSystems, cell.params.system) +
+                              ")");
         // Workers and cache entries are split across nodes; a share
         // below one would be clamped up to one, silently running a
         // bigger cluster than the scenario asked for.
@@ -1316,6 +1388,12 @@ Scenario::hasKnobs() const
     return false;
 }
 
+std::uint64_t
+Scenario::arrivalRngSeed() const
+{
+    return arrivalSeed.value_or(seed ^ 0xa441a15ULL);
+}
+
 // ---------------------------------------------------------------------
 // Parse / print / digest.
 // ---------------------------------------------------------------------
@@ -1352,6 +1430,8 @@ printScenario(const Scenario &scenario, std::ostream &out)
 {
     out << "scenario " << scenario.name << "\n";
     out << "seed " << fmtU64(scenario.seed) << "\n";
+    if (scenario.arrivalSeed)
+        out << "arrival-seed " << fmtU64(*scenario.arrivalSeed) << "\n";
     out << "mode " << enumToken(kModes, scenario.mode) << "\n";
     out << "dataset " << enumToken(kDatasets, scenario.dataset) << "\n";
     for (const char *key : kParamKeys)
@@ -1632,7 +1712,7 @@ buildScenarioWorkload(const Scenario &scenario)
     }
 
     PiecewiseArrivals arrivals(scenarioRateSchedule(scenario));
-    Rng arrivalRng(scenario.seed ^ 0xa441a15ULL);
+    Rng arrivalRng(scenario.arrivalRngSeed());
     if (scenario.requests > 0) {
         workload.trace.reserve(scenario.requests);
         for (std::size_t i = 0; i < scenario.requests; ++i)

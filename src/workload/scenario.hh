@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -124,6 +125,11 @@ enum class ScenarioReport
     Quality,    ///< CLIP / FID / IS / Pick per cell (Tables 2/3)
     Reuse,      ///< cache-stream hit rate, similarity, reuse (§5.4)
     Cluster,    ///< per-cell cluster shape, hit rate, tail, imbalance
+    Timeline,   ///< completions/min per 4-min window vs demand (Figs. 10/17)
+    Allocation, ///< the one cell's monitor allocations over time (Fig. 10)
+    Scaling,    ///< completions within duration vs the first cell (Fig. 11)
+    HitAge,     ///< age histogram of retrieved cache entries (Fig. 15)
+    Controller, ///< allocation changes and model reloads per cell (§5.3)
 };
 
 /** Scripted node fault (mirrors serving::FaultKind). */
@@ -216,6 +222,11 @@ struct ScenarioParams
      */
     std::size_t retrievalEf = 0;
     std::size_t retrievalNprobe = 0;
+    /**
+     * Global-monitor PID gains {kp, ki, kd}, set by the cell key
+     * `pid=<kp>,<ki>,<kd>`; empty keeps the preset's gains.
+     */
+    std::vector<double> pid;
 };
 
 /** One sweep cell: a labeled override of the header params. */
@@ -241,6 +252,11 @@ struct Scenario
     std::string name;
     /** Experiment seed (generators, arrivals, serving substrate). */
     std::uint64_t seed = 42;
+    /**
+     * Arrival-process rng seed (`arrival-seed <n>`); unset derives it
+     * as seed ^ 0xa441a15 and the canonical text omits the directive.
+     */
+    std::optional<std::uint64_t> arrivalSeed;
     ScenarioMode mode = ScenarioMode::Serving;
     ScenarioDataset dataset = ScenarioDataset::DiffusionDB;
     /** Header defaults for every cell. */
@@ -294,6 +310,9 @@ struct Scenario
 
     /** True when any op is a knob change. */
     bool hasKnobs() const;
+
+    /** The arrival rng seed: arrivalSeed, else seed ^ 0xa441a15. */
+    std::uint64_t arrivalRngSeed() const;
 };
 
 /**
@@ -362,7 +381,9 @@ struct ScenarioWorkload
  * warm + trace, which for a single-source scenario is exactly the
  * generator's own numbering — single-source workloads are
  * byte-identical to the legacy bench::batchBundle / poissonBundle
- * helpers (arrival rng seed = scenario seed ^ 0xa441a15).
+ * helpers (arrival rng seed = scenario seed ^ 0xa441a15), and a
+ * duration scenario with `arrival-seed <n>` replays exactly what
+ * buildTraceForDuration draws from Rng(n) over the same schedule.
  */
 ScenarioWorkload buildScenarioWorkload(const Scenario &scenario);
 

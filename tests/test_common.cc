@@ -3,15 +3,19 @@
  * Unit tests for the common substrate: RNG determinism and
  * distributional sanity, vector math, statistics, matrix algebra (the
  * FID building blocks), table formatting, and the task-based thread
- * pool (batch waits, nested submission, concurrent submitters).
+ * pool (batch waits, nested submission, concurrent submitters, and
+ * fatal() on a pool worker).
  */
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
 #include <thread>
 
+#include "src/common/log.hh"
 #include "src/common/matrix.hh"
 #include "src/common/rng.hh"
 #include "src/common/stats.hh"
@@ -468,6 +472,29 @@ TEST(ThreadPool, TasksMaySubmitToTheirOwnGroup)
     }
     group.wait();
     EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(ThreadPoolDeathTest, FatalOnAPoolWorkerExitsOne)
+{
+    // fatal() inside a pool task while another task is still running,
+    // as when one sweep cell hits a user error: the process must exit
+    // 1 at once, neither hang in the pool's teardown nor crash in the
+    // task that is still running.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            alarm(30); // a hang dies of SIGALRM instead of stalling ctest
+            auto &pool = ThreadPool::global();
+            pool.parallelFor(2, [&pool](std::size_t shard) {
+                // Shard 1 runs on a worker; a pool without workers runs
+                // every shard on the caller.
+                if (shard == 1 || pool.workerCount() == 0)
+                    fatal("cell failed on a pool worker");
+                for (;;)
+                    std::this_thread::yield();
+            });
+        },
+        ::testing::ExitedWithCode(1), "fatal: cell failed on a pool worker");
 }
 
 } // namespace

@@ -273,6 +273,98 @@ TEST(ScenarioRateList, RejectionsCarryFileAndLine)
                 "test.scn:3:", "slo-by-rate needs a rate list");
 }
 
+TEST(ScenarioArrivalSeedAndPid, RoundTripCanonically)
+{
+    const auto scenario = parseOk("scenario seeded\n"
+                                  "arrival-seed 18446744073709551615\n"
+                                  "duration 600\n"
+                                  "rate 6\n"
+                                  "\n"
+                                  "cell \"paper\" pid=0.6,0.05,0.05\n"
+                                  "cell \"jump\" pid=1,0,0\n"
+                                  "cell \"preset\"\n");
+    ASSERT_TRUE(scenario.arrivalSeed.has_value());
+    EXPECT_EQ(scenario.arrivalRngSeed(), 18446744073709551615ULL);
+    EXPECT_EQ(scenario.cells[0].params.pid,
+              (std::vector<double>{0.6, 0.05, 0.05}));
+    EXPECT_TRUE(scenario.cells[2].params.pid.empty());
+    const auto canonical = canonicalScenario(scenario);
+    EXPECT_NE(canonical.find("\narrival-seed 18446744073709551615\n"),
+              std::string::npos)
+        << canonical;
+    EXPECT_NE(canonical.find("\ncell \"jump\" pid=1,0,0\n"),
+              std::string::npos)
+        << canonical;
+    EXPECT_EQ(canonicalScenario(parseOk(canonical)), canonical);
+
+    // The gains reach the serving config; a cell without the key keeps
+    // the preset's.
+    const auto jump = serving::scenarioCellConfig(scenario, scenario.cell(1));
+    EXPECT_EQ(jump.pid.kp, 1.0);
+    EXPECT_EQ(jump.pid.ki, 0.0);
+    EXPECT_EQ(jump.pid.kd, 0.0);
+    const auto preset =
+        serving::scenarioCellConfig(scenario, scenario.cell(2));
+    EXPECT_EQ(preset.pid.kp, serving::PidGains{}.kp);
+    EXPECT_EQ(preset.pid.ki, serving::PidGains{}.ki);
+    EXPECT_EQ(preset.pid.kd, serving::PidGains{}.kd);
+}
+
+TEST(ScenarioArrivalSeedAndPid, UnsetArrivalSeedKeepsTheCanonicalText)
+{
+    // Unset, the arrival rng stays seed ^ 0xa441a15 and the directive is
+    // not printed, so scenarios written before it digest as they did.
+    const auto plain = parseOk("scenario one\nrequests 80\nrate 10\n");
+    EXPECT_FALSE(plain.arrivalSeed.has_value());
+    EXPECT_EQ(plain.arrivalRngSeed(), 42ULL ^ 0xa441a15ULL);
+    EXPECT_EQ(canonicalScenario(plain).find("arrival-seed"),
+              std::string::npos);
+    EXPECT_EQ(scenarioDigest(plain), 0x58701a1fe57edb9aULL);
+    // Set, even to the derived value, it is part of the meaning.
+    EXPECT_NE(scenarioDigest(parseOk("scenario one\nrequests 80\n"
+                                     "rate 10\narrival-seed 42\n")),
+              scenarioDigest(plain));
+}
+
+TEST(ScenarioArrivalSeedAndPid, MalformedValuesCarryFileAndLine)
+{
+    const std::string head = "scenario s\nduration 600\nrate 6\n";
+    for (const char *seed : {"-1", "4.2", "1e3", "0x2a", "",
+                             "18446744073709551616"}) {
+        SCOPED_TRACE(seed);
+        expectError(head + "arrival-seed \"" + seed + "\"\n",
+                    "test.scn:4:",
+                    "arrival-seed must be an unsigned 64-bit integer");
+    }
+    expectError(head + "arrival-seed 1\narrival-seed 2\n", "test.scn:5:",
+                "duplicate directive 'arrival-seed'");
+    // Nothing else draws arrivals: a batch or cache-stream scenario.
+    expectError("scenario s\nrequests 10\narrival-seed 7\n",
+                "test.scn:3:", "arrival-seed needs a serving scenario");
+    expectError("scenario s\nmode cache-stream\nrequests 10\nwindow 5\n"
+                "report hit-curve\narrival-seed 7\nrate 5\n",
+                "test.scn:6:", "arrival-seed needs a serving scenario");
+
+    for (const char *gains :
+         {"0.6,0.05", "0.6", "0.6,,0.05", "0.6,0.05,", ",0.6,0.05,0.05",
+          "0.6,0.05,0.05,1", "nan,0,0", "0,inf,0", "1e999,0,0",
+          "-0.1,0,0", "0.6,0.05,-1", "a,b,c"}) {
+        SCOPED_TRACE(gains);
+        expectError(head + "\ncell \"a\" pid=" + gains + "\n",
+                    "test.scn:5:",
+                    "pid must look like <kp>,<ki>,<kd> with three finite "
+                    "gains >= 0");
+    }
+    expectError(head + "\ncell \"a\" pid=1,0,0 pid=1,0,0\n",
+                "test.scn:5:", "duplicate cell override 'pid'");
+    expectError(head + "pid 1,0,0\n", "test.scn:4:",
+                "unknown directive 'pid'");
+    expectError(head + "\ncell \"a\"\ncell \"v\" system=vanilla "
+                       "pid=1,0,0\n",
+                "test.scn:6:", "cell \"v\": pid needs system modm");
+    parseOk(head + "\ncell \"zero\" pid=0,0,0\n");
+}
+
 TEST(ScenarioValidation, RejectionsCarryFileAndLine)
 {
     // A cache-stream window longer than the stream has no rows.
@@ -305,6 +397,29 @@ TEST(ScenarioValidation, RejectionsCarryFileAndLine)
     expectError("scenario s\nmode cache-stream\nrequests 10\n"
                 "window 5\nreport cluster\n",
                 "test.scn:5:", "use report hit-curve or reuse");
+    for (const std::string report : {"timeline", "allocation", "scaling",
+                                     "hit-age", "controller"}) {
+        SCOPED_TRACE(report);
+        expectError("scenario s\nmode cache-stream\nrequests 10\n"
+                    "window 5\nreport " +
+                        report + "\n",
+                    "test.scn:5:", "use report hit-curve or reuse");
+    }
+    // The time-window reports read duration.
+    for (const std::string report : {"timeline", "scaling", "hit-age"}) {
+        SCOPED_TRACE(report);
+        expectError("scenario s\nrequests 10\nrate 5\nreport " + report +
+                        "\n",
+                    "test.scn:4:", "report " + report + " needs duration");
+    }
+    // Allocation and hit-age render the run of one cell.
+    for (const std::string report : {"allocation", "hit-age"}) {
+        SCOPED_TRACE(report);
+        expectError("scenario s\nduration 600\nrate 5\nreport " +
+                        report + "\n\ncell \"a\"\ncell \"b\"\n",
+                    "test.scn:4:",
+                    "report " + report + " renders one cell, got 2");
+    }
     // Quality's paper annotation is a <clip>,<fid> pair.
     expectError("scenario s\nrequests 10\nreport quality\n\n"
                 "cell \"a\" paper=28.5\n",
@@ -317,6 +432,12 @@ TEST(ScenarioValidation, RejectionsCarryFileAndLine)
             "cache 4\n\nat 10 set cache 4\n");
     parseOk("scenario s\nrequests 10\nreport quality\n\n"
             "cell \"a\" paper=28.55,6.29\ncell \"b\"\n");
+    parseOk("scenario s\nduration 600\nrate 5\nreport hit-age\n");
+    parseOk("scenario s\nrequests 10\nreport allocation\n");
+    parseOk("scenario s\nrequests 10\nreport controller\n\n"
+            "cell \"a\"\ncell \"b\"\n");
+    parseOk("scenario s\nduration 600\nrate 5\nreport timeline\n\n"
+            "cell \"a\"\ncell \"b\"\n");
 }
 
 TEST(ScenarioParseDeath, LoadOrDieReportsFileAndLine)
@@ -393,6 +514,12 @@ TEST(ScenarioFiles, PortedFigureDigestsArePinned)
         {"table3_flux", 0xe1c8695fcb489213ULL},
         {"ablation_cache_policy", 0x24766924932d5465ULL},
         {"ablation_multinode", 0x5a63156b182e598bULL},
+        {"fig10_increasing_rate", 0x21c5005b7442c65aULL},
+        {"fig10_allocation", 0x85598c1738c9cb45ULL},
+        {"fig11_scalability", 0xecf147ce19caf1eeULL},
+        {"fig15_temporal_locality", 0xf9f31a4b0d5c92a9ULL},
+        {"fig17_fluctuating_rate", 0x21e2bc147b198d14ULL},
+        {"ablation_pid", 0x30cd4c9ab26c8402ULL},
     };
     for (const auto &[name, digest] : kPinned) {
         SCOPED_TRACE(name);
@@ -440,6 +567,81 @@ TEST(ScenarioWorkloadEquivalence, PoissonMatchesLegacyPoissonBundle)
         EXPECT_EQ(built.trace[i].prompt.text,
                   legacy.trace[i].prompt.text);
     }
+}
+
+/**
+ * Expect `built` to be the workload a duration-trace binary built by
+ * hand: `warm` prompts from makeDiffusionDB(42), then `trace` from
+ * buildTraceForDuration on the same generator.
+ */
+void
+expectSameDurationWorkload(const ScenarioWorkload &built,
+                           const std::vector<Prompt> &warm,
+                           const Trace &trace)
+{
+    ASSERT_EQ(built.warm.size(), warm.size());
+    for (std::size_t i = 0; i < warm.size(); ++i)
+        EXPECT_EQ(built.warm[i].text, warm[i].text);
+    ASSERT_EQ(built.trace.size(), trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        EXPECT_EQ(built.trace[i].arrival, trace[i].arrival);
+        EXPECT_EQ(built.trace[i].prompt.id, trace[i].prompt.id);
+        EXPECT_EQ(built.trace[i].prompt.text, trace[i].prompt.text);
+        EXPECT_EQ(built.trace[i].prompt.visualConcept,
+                  trace[i].prompt.visualConcept);
+    }
+}
+
+TEST(ScenarioWorkloadEquivalence, SteppedRateMatchesPiecewiseDurationTrace)
+{
+    // The Fig. 10 / Fig. 17 / PID-ablation shape: `at <t> rate <r>`
+    // steps under `arrival-seed 42` replay buildTraceForDuration over
+    // the same segments with Rng(42), which the former binaries called.
+    const std::string text = "warm 30\n"
+                             "duration 1800\n"
+                             "rate 6\n"
+                             "\n"
+                             "at 600 rate 20\n"
+                             "at 1200 rate 10\n";
+    const auto built = buildScenarioWorkload(
+        parseOk("scenario stepped\narrival-seed 42\n" + text));
+
+    auto gen = makeDiffusionDB(42);
+    std::vector<Prompt> warm;
+    for (int i = 0; i < 30; ++i)
+        warm.push_back(gen->next());
+    PiecewiseArrivals arrivals({{600.0, 6.0}, {600.0, 20.0},
+                                {600.0, 10.0}});
+    Rng rng(42);
+    const auto trace = buildTraceForDuration(*gen, arrivals, 1800.0, rng);
+    EXPECT_GT(trace.size(), 300u);
+    expectSameDurationWorkload(built, warm, trace);
+
+    // The derived default seed draws other arrivals.
+    const auto unseeded =
+        buildScenarioWorkload(parseOk("scenario stepped\n" + text));
+    ASSERT_FALSE(unseeded.trace.empty());
+    EXPECT_NE(unseeded.trace.front().arrival, trace.front().arrival);
+}
+
+TEST(ScenarioWorkloadEquivalence, ConstantRateMatchesPoissonDurationTrace)
+{
+    // The Fig. 11 / Fig. 15 shape: one rate for the whole duration is
+    // PoissonArrivals under buildTraceForDuration.
+    const auto built = buildScenarioWorkload(parseOk("scenario flat\n"
+                                                     "arrival-seed 42\n"
+                                                     "warm 20\n"
+                                                     "duration 900\n"
+                                                     "rate 30\n"));
+    auto gen = makeDiffusionDB(42);
+    std::vector<Prompt> warm;
+    for (int i = 0; i < 20; ++i)
+        warm.push_back(gen->next());
+    PoissonArrivals arrivals(30.0);
+    Rng rng(42);
+    const auto trace = buildTraceForDuration(*gen, arrivals, 900.0, rng);
+    EXPECT_GT(trace.size(), 300u);
+    expectSameDurationWorkload(built, warm, trace);
 }
 
 TEST(ScenarioWorkloadEquivalence, MjhqDatasetSelectsTheMjhqGenerator)
